@@ -58,7 +58,7 @@ class RaggedRows(ValueError):
 class DataMatrix:
     """Column-stacked data points with optional ground-truth labels.
 
-    points : (D, N) float array, one sample per column.
+    points : (D, N) finite float array, one sample per column.
     labels : optional (N,) integer class ids.
 
     Instances are immutable (arrays are marked read-only) and safe to share
@@ -72,6 +72,8 @@ class DataMatrix:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a D x N array with D >= 1, N >= 1")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite (no NaN or inf)")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:

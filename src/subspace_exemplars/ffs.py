@@ -3,11 +3,12 @@
 Both selectors grow an exemplar set one point at a time, always adding the
 currently worst-represented point (largest self-representation cost).
 ``ffs_naive`` reevaluates every point at every iteration; ``ffs_lazy``
-exploits the monotonicity of the cost in the exemplar set, keeping the last
-known cost of each point as an upper bound and rescanning points in
-decreasing bound order until the bound of the next point cannot beat the
-best exact value seen.  The two produce identical selections; the lazy
-variant simply performs far fewer cost evaluations.
+exploits the monotonicity of the cost in the exemplar set (lazy greedy,
+Minoux 1978), keeping the last known cost of each point as an upper bound
+and rescanning points in decreasing bound order, in blocks of growing size
+per solver call, until the bound of the next point cannot beat the best
+exact value seen.  The two produce identical selections; the lazy variant
+simply performs far fewer cost evaluations.
 
 The first exemplar is a seeded uniform draw (overridable for reproducible
 worked examples); all later choices break ties toward the lowest point
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix
-from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, NoConvergence, _cd_core
+from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, NoConvergence, _solve_costs
 from .selfrep import cost_floor
 
 __all__ = ["SelectionStep", "ExemplarSet", "ffs_naive", "ffs_lazy", "select_random"]
@@ -87,78 +88,63 @@ class ExemplarSet:
         )
 
 
-def _check_args(data: DataMatrix, lam: float, k: int) -> None:
+def _first_index(data: DataMatrix, lam: float, k: int, seed: int,
+                 first_index: int | None) -> int:
+    """Check the arguments; return the first exemplar (a seeded draw by default)."""
     if not 1 <= k <= data.count:
         raise ValueError(f"k={k} must be in [1, N={data.count}]")
     if not lam > 1:
         raise ValueError(f"lam must be > 1, got {lam}")
-
-
-def _first_index(data: DataMatrix, seed: int, first_index: int | None) -> int:
-    if first_index is not None:
-        if not 0 <= first_index < data.count:
-            raise ValueError("first_index out of range")
-        return int(first_index)
-    rng = np.random.default_rng(seed)
-    return int(rng.integers(data.count))
+    if first_index is None:
+        return int(np.random.default_rng(seed).integers(data.count))
+    if not 0 <= first_index < data.count:
+        raise ValueError("first_index out of range")
+    return int(first_index)
 
 
 class _CostEvaluator:
-    """Shared solver state: data Gram matrix plus per-point warm starts."""
+    """Shared solver state: data Gram matrix plus per-point warm starts.
+
+    Points equal up to sign have one cost: each such class is solved once,
+    at its lowest index, and a class with a selected member is at the cost
+    floor exactly.  So exact ties stay exact, whichever batch or warm start
+    a cost comes from.
+    """
 
     def __init__(self, data: DataMatrix, lam: float, tol: float, max_iter: int):
-        self.X = data.points
+        X = data.points
         self.N = data.count
-        self.gram = self.X.T @ self.X
+        self.gram = X.T @ X
         self.xnorm2 = np.ascontiguousarray(np.diag(self.gram)).copy()
-        self.lam = lam
-        self.tol = tol
-        self.max_iter = max_iter
-        self.warm: list[np.ndarray | None] = [None] * self.N
+        self.solver_args = (lam, tol, max_iter)
+        self.floor = cost_floor(lam)
+        lead = X[np.argmax(X != 0.0, axis=0), np.arange(self.N)]
+        canon = (X * np.where(lead < 0.0, -1.0, 1.0)).T + 0.0  # + 0.0 turns -0.0 into 0.0
+        _, first, inverse = np.unique(canon, axis=0, return_index=True, return_inverse=True)
+        self.twin = first[inverse.ravel()]  # lowest index equal up to sign
+        # the selection only ever grows, appending columns at the end, so a
+        # warm start is the point's last code padded with zero rows
+        self.warm = np.zeros((0, self.N))
 
-    def _solve(self, sel: list[int], targets: np.ndarray, warm):
-        G = self.gram[np.ix_(sel, sel)]
-        H = self.gram[np.ix_(sel, targets)]
-        xn2 = self.xnorm2[targets]
-        C, gap, _, sweeps, done = _cd_core(
-            G, H, xn2, self.lam, self.tol, self.max_iter, warm
-        )
-        if not done.all():
-            bad = int(targets[np.flatnonzero(~done)[0]])
-            raise NoConvergence(sweeps, float(gap[~done][0]), target_index=bad)
-        GC = G @ C
-        e2 = np.maximum(xn2 - 2.0 * (C * H).sum(axis=0) + (C * GC).sum(axis=0), 0.0)
-        costs = np.abs(C).sum(axis=0) + 0.5 * self.lam * e2
-        return C, costs
-
-    def eval_all(self, sel: list[int]) -> np.ndarray:
-        """Costs of every point over the current selection (N evaluations)."""
-        targets = np.arange(self.N)
-        warm = self._stacked_warm(sel, targets)
-        C, costs = self._solve(sel, targets, warm)
-        for t in range(self.N):
-            self.warm[t] = C[:, t].copy()
-        return costs
-
-    def eval_one(self, sel: list[int], j: int) -> float:
-        targets = np.array([j])
-        warm = self._stacked_warm(sel, targets)
-        C, costs = self._solve(sel, targets, warm)
-        self.warm[j] = C[:, 0].copy()
-        return float(costs[0])
-
-    def _stacked_warm(self, sel: list[int], targets: np.ndarray):
-        # The selection only ever grows, appending columns at the end, so an
-        # older coefficient vector is reused by zero-padding.
-        M = len(sel)
-        warm = np.zeros((M, targets.size))
-        any_set = False
-        for col, t in enumerate(targets):
-            w = self.warm[t]
-            if w is not None:
-                warm[: w.size, col] = w
-                any_set = True
-        return warm if any_set else None
+    def costs(self, sel: list[int], targets: np.ndarray) -> np.ndarray:
+        """Costs of the target points over the selection, in one solver call."""
+        cls = self.twin[targets]
+        out = np.full(targets.size, self.floor)
+        free = ~np.isin(cls, self.twin[sel])
+        todo, back = np.unique(cls[free], return_inverse=True)
+        if todo.size:
+            if len(self.warm) < len(sel):
+                self.warm = np.vstack([self.warm, np.zeros((len(sel) - len(self.warm), self.N))])
+            G = self.gram[np.ix_(sel, sel)]
+            H = self.gram[np.ix_(sel, todo)]
+            try:
+                C, costs = _solve_costs(G, H, self.xnorm2[todo], *self.solver_args,
+                                        self.warm[:, todo])
+            except NoConvergence as err:
+                raise NoConvergence(err.iterations, err.gap, int(todo[err.target_index])) from None
+            self.warm[:, todo] = C
+            out[free] = costs[back]
+        return out
 
 
 def ffs_naive(
@@ -175,13 +161,12 @@ def ffs_naive(
     Iteration i computes f(x_j, current set) for all N points and appends the
     maximizer (lowest index on ties).  Deterministic given the seed.
     """
-    _check_args(data, lam, k)
-    j0 = _first_index(data, seed, first_index)
+    j0 = _first_index(data, lam, k, seed, first_index)
     ev = _CostEvaluator(data, lam, tol, max_iter)
     selected = [j0]
     trace = [SelectionStep(j0, 0.5 * lam, 0)]
     for _ in range(k - 1):
-        costs = ev.eval_all(selected)
+        costs = ev.costs(selected, np.arange(ev.N))
         masked = costs.copy()
         masked[selected] = -np.inf
         j = int(np.argmax(masked))
@@ -202,41 +187,45 @@ def ffs_lazy(
     """Bound-pruned selector; selects exactly the same indices as ffs_naive.
 
     Stale costs are valid upper bounds because the cost is non-increasing as
-    the selection grows, so a scan in decreasing bound order can stop as soon
-    as the best refreshed value reaches the next stale bound.
+    the selection grows.  A step scans points in decreasing bound order
+    (lower index first on ties) and stops once the best refreshed cost, with
+    the lower index winning ties, beats the next point's stale bound.  It
+    solves blocks of 1, 2, 4, ... points per call, each checked in order
+    against the bounds from before it, so it stops and picks exactly as a
+    one-point scan would.  The block overshoot past the stop point keeps its
+    refreshed costs as tighter bounds and counts in the step's ``evals``.
     """
-    _check_args(data, lam, k)
-    j0 = _first_index(data, seed, first_index)
+    j0 = _first_index(data, lam, k, seed, first_index)
     ev = _CostEvaluator(data, lam, tol, max_iter)
     selected = [j0]
     in_set = np.zeros(ev.N, dtype=bool)
     in_set[j0] = True
-    floor = cost_floor(lam)
-
-    bounds = ev.eval_all(selected)  # N initialization evaluations
-    bounds[j0] = floor  # a member's cost stays at the floor (exact)
+    bounds = ev.costs(selected, np.arange(ev.N))  # N initialization evaluations
     trace = [SelectionStep(j0, 0.5 * lam, ev.N)]
-
+    # a point above its class's lowest index loses the tie to it until the floor
+    lowest = ev.twin == np.arange(ev.N)
     for _ in range(k - 1):
-        # stable descending order: primary key -bound, secondary key index
         order = np.lexsort((np.arange(ev.N), -bounds))
-        max_cost = -np.inf
-        new_index = -1
-        evals = 0
-        for pos in range(ev.N):
-            j = int(order[pos])
-            if not in_set[j]:
-                bounds[j] = ev.eval_one(selected, j)
-                evals += 1
-                if bounds[j] > max_cost:
-                    max_cost = bounds[j]
-                    new_index = j
-            if pos == ev.N - 1 or max_cost >= bounds[order[pos + 1]]:
-                break
-        trace.append(SelectionStep(new_index, float(max_cost), evals))
-        selected.append(new_index)
-        in_set[new_index] = True
-        bounds[new_index] = floor
+        scan = order[((lowest | np.isin(ev.twin, ev.twin[selected])) & ~in_set)[order]]
+        stale = bounds[scan]
+        best, pick, evals = -np.inf, -1, 0
+        start, size, stop = 0, 1, False
+        while not stop:
+            block = scan[start:start + size]
+            costs = ev.costs(selected, block)
+            bounds[block] = costs
+            evals += block.size
+            for nxt, j, cost in zip(range(start + 1, scan.size + 1), block, costs):
+                if (cost, -j) > (best, -pick):
+                    best, pick = cost, int(j)
+                if nxt == scan.size or (best, -pick) >= (stale[nxt], -scan[nxt]):
+                    stop = True
+                    break
+            start, size = start + size, 2 * size
+        trace.append(SelectionStep(pick, float(best), evals))
+        selected.append(pick)
+        in_set[pick] = True
+        bounds[ev.twin == ev.twin[pick]] = ev.floor
     return ExemplarSet(tuple(selected), k, seed, tuple(trace), lam)
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import DataMatrix
-from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, NoConvergence, _cd_core
+from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_costs
 
 __all__ = ["CostReport", "TooFewPoints", "f_cost", "F_cost", "lambda_threshold", "cost_floor"]
 
@@ -48,16 +48,7 @@ def _batch_costs(data: DataMatrix, sel: list[int], targets: np.ndarray | None,
     """Objective values of all targets (default: every point) over columns sel."""
     X = data.points if targets is None else targets
     A = data.points[:, sel]
-    G = A.T @ A
-    H = A.T @ X
-    xn2 = (X * X).sum(axis=0)
-    C, gap, _, sweeps, done = _cd_core(G, H, xn2, lam, tol, max_iter)
-    if not done.all():
-        bad = int(np.flatnonzero(~done)[0])
-        raise NoConvergence(sweeps, float(gap[bad]), target_index=bad)
-    GC = G @ C
-    e2 = np.maximum(xn2 - 2.0 * (C * H).sum(axis=0) + (C * GC).sum(axis=0), 0.0)
-    return np.abs(C).sum(axis=0) + 0.5 * lam * e2
+    return _solve_costs(A.T @ A, A.T @ X, (X * X).sum(axis=0), lam, tol, max_iter)[1]
 
 
 def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,

@@ -56,6 +56,14 @@ def test_data_matrix_validation():
         DataMatrix(np.ones((2, 3)), labels=[1, 2])
 
 
+def test_data_matrix_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.ones((2, 3))
+        pts[1, 2] = bad
+        with pytest.raises(ValueError):
+            DataMatrix(pts)
+
+
 def test_data_matrix_read_only():
     m = DataMatrix(np.ones((2, 2)))
     with pytest.raises(ValueError):
@@ -199,6 +207,13 @@ def test_csv_parse_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,fish\n")
     with pytest.raises(ParseError):
+        load_csv(path)
+
+
+def test_csv_rejects_non_finite(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("1.0,2.0\nnan,3.0\n")
+    with pytest.raises(ValueError):
         load_csv(path)
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_exemplars import (
     DataMatrix,
@@ -130,3 +132,25 @@ def test_duplicate_points_still_select_distinct_indices():
     assert sorted(out.indices) == [0, 1, 2, 3]
     lazy = ffs_lazy(data, 10.0, 4, seed=0, first_index=0)
     assert lazy.indices == out.indices
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    n_base=st.integers(1, 8),
+    copies=st.lists(st.tuples(st.integers(0, 7), st.sampled_from([1.0, -1.0])), max_size=6),
+    lam=st.sampled_from([2.0, 10.0, 100.0, 1e4]),
+    draw=st.data(),
+)
+def test_lazy_equals_naive_with_exact_ties(seed, d, n_base, copies, lam, draw):
+    # duplicated and antipodal points tie exactly, and so do all points
+    # equal up to sign to an exemplar (at the cost floor); k runs up to N
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((d, n_base))
+    pts = np.column_stack([base] + [sign * base[:, j % n_base] for j, sign in copies])
+    data = normalize_columns(DataMatrix(pts[:, rng.permutation(pts.shape[1])]))
+    k = draw.draw(st.integers(1, data.count), label="k")
+    naive = ffs_naive(data, lam, k, seed=seed)
+    lazy = ffs_lazy(data, lam, k, seed=seed)
+    assert lazy.indices == naive.indices

@@ -13,6 +13,7 @@ from subspace_exemplars import (
     subspace_preserving_rate,
     synth_union_of_subspaces,
 )
+from subspace_exemplars.lasso import _cd_core
 
 
 def _unit_columns(rng, d, m):
@@ -182,3 +183,41 @@ def test_two_subspace_codes_are_subspace_preserving():
     codes = solve_lasso_batch(a, data.points, 1e4)
     rate = subspace_preserving_rate(codes, data.labels[sel], data.labels)
     assert rate >= 1 - 1e-6
+
+
+def test_full_step_that_crosses_zero_is_not_stationary():
+    # the finisher's full step here changes a sign; taken as the optimum of
+    # the pattern it was solved for, it returned a point whose KKT violation
+    # is 2/lam, and the solve needed 4 sweeps instead of 1
+    X = synth_union_of_subspaces(SubspaceSpec(12, (4, 4, 4), (20, 20, 20), 0.0, 2)).points
+    a, x, lam = X[:, [50, 58, 5]], X[:, 29], 1e4
+    code = solve_lasso(LassoProblem(a, x, lam), max_iter=1)
+    assert kkt_violation(a, x, lam, code) <= 1e-8
+    assert duality_gap(a, x, lam, code) <= 1e-8
+    # the 4-sweep solution of the solver that took the crossing as stationary
+    expected = [-0.12928370045491824, 0.0003706388806496985, 0.2564461080646064]
+    assert np.allclose(code.coeffs, expected, rtol=0.0, atol=1e-12)
+
+
+def test_problem_rejects_non_finite():
+    with pytest.raises(ValueError):
+        LassoProblem(np.eye(2), np.array([np.nan, 1.0]), 10.0)
+    with pytest.raises(ValueError):
+        LassoProblem(np.array([[1.0, np.nan], [0.0, 0.0]]), np.array([1.0, 0.0]), 10.0)
+
+
+def test_batch_rejects_non_finite():
+    x = np.array([[1.0, np.nan], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        solve_lasso_batch(np.eye(2), x, 10.0)
+    with pytest.raises(ValueError):
+        solve_lasso_batch(x, np.eye(2), 10.0)
+
+
+def test_cd_core_stops_at_the_first_non_finite_gap():
+    G = np.eye(2)
+    H = np.array([[0.5, np.nan], [0.5, 0.0]])
+    _, gap, _, sweeps, done = _cd_core(G, H, np.array([1.0, 1.0]), 10.0, 1e-8, 100_000)
+    assert sweeps == 0
+    assert np.isnan(gap[1])
+    assert not done[1]
