@@ -47,6 +47,7 @@ from .lasso import (
     LassoProblem,
     NoConvergence,
     SparseCode,
+    SparseCodes,
     duality_gap,
     kkt_violation,
     solve_lasso,
@@ -87,6 +88,7 @@ __all__ = [
     "RaggedRows",
     "SelectionStep",
     "SparseCode",
+    "SparseCodes",
     "SubspaceSpec",
     "SymmetricHull",
     "TooFewPoints",

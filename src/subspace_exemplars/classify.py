@@ -17,7 +17,7 @@ import numpy as np
 from .cluster import ClusterAssignment
 from .dataset import DataMatrix
 from .ffs import ExemplarSet
-from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_lasso_batch
+from .lasso import DEFAULT_TOL, solve_lasso_batch
 
 __all__ = ["LabeledExemplars", "NoExemplarsForClass", "src_classify"]
 
@@ -97,7 +97,6 @@ def src_classify(
     exemplars: LabeledExemplars,
     lam: float,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> ClusterAssignment:
     """Classify every point by its minimum per-class reconstruction residual.
 
@@ -108,8 +107,7 @@ def src_classify(
         raise ValueError("need at least one labeled exemplar")
     sel = list(exemplars.indices)
     A = data.points[:, sel]
-    codes = solve_lasso_batch(A, data.points, lam, tol, max_iter)
-    C = np.column_stack([c.coeffs for c in codes])
+    C = solve_lasso_batch(A, data.points, lam, tol).coeffs
 
     classes = exemplars.classes
     ex_labels = np.array([exemplars.class_of[i] for i in sel])

@@ -27,6 +27,8 @@ def _set_thread_cap(argv: list[str]) -> None:
 
 
 def _parser() -> argparse.ArgumentParser:
+    from .ffs import METHODS
+
     p = argparse.ArgumentParser(
         prog="subspace-exemplars",
         description="Exemplar selection, clustering and classification in a union of subspaces",
@@ -43,17 +45,16 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--coefficients", choices=("sphere", "nonneg"), default="sphere")
     sp.add_argument("--out", required=True, help="output CSV path")
 
-    def common(q, with_first=True):
+    def common(q):
         q.add_argument("--data", required=True, help="input CSV (rows are samples)")
         q.add_argument("--with-labels", action="store_true", help="CSV has a final label column")
         q.add_argument("--lambda", dest="lam", type=float, default=100.0)
         q.add_argument("--k", type=int, required=True, help="number of exemplars")
         q.add_argument("--seed", type=int, default=0)
         q.add_argument("--tol", type=float, default=1e-8)
-        q.add_argument("--method", choices=("ffs", "ffs-naive", "random"), default="ffs")
-        if with_first:
-            q.add_argument("--first-index", type=int, default=None,
-                           help="override the seeded random first exemplar")
+        q.add_argument("--method", choices=METHODS, default="ffs")
+        q.add_argument("--first-index", type=int, default=None,
+                       help="override the seeded random first exemplar")
 
     sel = sub.add_parser("select", help="select exemplars, write a selection JSON")
     common(sel)
@@ -126,15 +127,9 @@ def _load_data(args):
 
 
 def _select(data, args):
-    from .ffs import ffs_lazy, ffs_naive, select_random
+    from .ffs import select
 
-    if args.method == "ffs":
-        return ffs_lazy(data, args.lam, args.k, args.seed, args.tol,
-                        first_index=args.first_index)
-    if args.method == "ffs-naive":
-        return ffs_naive(data, args.lam, args.k, args.seed, args.tol,
-                         first_index=args.first_index)
-    return select_random(data, args.k, args.seed)
+    return select(data, args.method, args.lam, args.k, args.seed, args.tol, args.first_index)
 
 
 def _cmd_synth(args) -> int:
@@ -157,8 +152,14 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _metrics_report(truth, pred, imbalance_counts=None, codes=None,
-                    exemplar_labels=None):
+def _metrics_report(truth, pred, exemplars=None, codes=None):
+    """Scores of pred against truth (all None without truth).
+
+    With the exemplar indices also the imbalance of their classes, and with
+    the (M, N) code matrix over them also the subspace-preserving rate.
+    """
+    import numpy as np
+
     from .metrics import (
         clustering_accuracy,
         clustering_fscore,
@@ -170,16 +171,15 @@ def _metrics_report(truth, pred, imbalance_counts=None, codes=None,
     if truth is not None:
         report["accuracy"] = clustering_accuracy(truth, pred)
         report["fscore"] = clustering_fscore(truth, pred)
-        if imbalance_counts is not None:
-            report["imbalance"] = imbalance(imbalance_counts)
-        if codes is not None and exemplar_labels is not None:
-            report["sp_rate"] = subspace_preserving_rate(codes, exemplar_labels, truth)
+        if exemplars is not None:
+            ex_labels = truth[list(exemplars)]
+            report["imbalance"] = imbalance(np.bincount(ex_labels, minlength=truth.max() + 1))
+            if codes is not None:
+                report["sp_rate"] = subspace_preserving_rate(codes, ex_labels, truth)
     return report
 
 
 def _cmd_cluster(args) -> int:
-    import numpy as np
-
     from .cluster import esc_pipeline
 
     data = _load_data(args)
@@ -188,13 +188,7 @@ def _cmd_cluster(args) -> int:
         selection=args.method, first_index=args.first_index, return_details=True,
     )
     _write_label_file(assignment.labels, args.labels_out)
-    report = {"accuracy": None, "fscore": None, "imbalance": None, "sp_rate": None}
-    if data.labels is not None:
-        sel = list(exemplars.indices)
-        counts = np.bincount(data.labels[sel], minlength=int(data.labels.max()) + 1)
-        report = _metrics_report(
-            data.labels, assignment.labels, counts, codes, data.labels[sel]
-        )
+    report = _metrics_report(data.labels, assignment.labels, exemplars.indices, codes.coeffs)
     doc = {"config": _config_dict(args), "metrics": report,
            "exemplars": list(exemplars.indices)}
     _write_json(doc, args.metrics_out)
@@ -202,8 +196,6 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    import numpy as np
-
     from .classify import LabeledExemplars, src_classify
 
     data = _load_data(args)
@@ -220,11 +212,7 @@ def _cmd_classify(args) -> int:
         lab = LabeledExemplars.from_data(exemplar_set, data)
     assignment = src_classify(data, lab, args.lam, args.tol)
     _write_label_file(assignment.labels, args.labels_out)
-    report = {"accuracy": None, "fscore": None, "imbalance": None, "sp_rate": None}
-    if data.labels is not None:
-        sel = list(exemplar_set.indices)
-        counts = np.bincount(data.labels[sel], minlength=int(data.labels.max()) + 1)
-        report = _metrics_report(data.labels, assignment.labels, counts)
+    report = _metrics_report(data.labels, assignment.labels, exemplar_set.indices)
     doc = {"config": _config_dict(args), "metrics": report,
            "exemplars": list(exemplar_set.indices)}
     _write_json(doc, args.metrics_out)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .dataset import DataMatrix
-from .ffs import ffs_lazy, ffs_naive, select_random
-from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, SparseCode, solve_lasso_batch
+from .ffs import select
+from .lasso import DEFAULT_TOL, solve_lasso_batch
 
 __all__ = [
     "AffinityGraph",
@@ -40,6 +40,12 @@ _REL_COEFF_FLOOR = 1e-2
 # of the largest are dropped, and a point lies in a span when its residual is
 # below this fraction of its norm
 _SPAN_RTOL = 1e-6
+
+# k-means: restarts (lowest inertia wins), Lloyd iterations per restart, and
+# the relative inertia decrease below which Lloyd stops
+_KMEANS_RESTARTS = 10
+_LLOYD_MAX_ITER = 300
+_LLOYD_RTOL = 1e-9
 
 
 class ZeroCode(ValueError):
@@ -68,10 +74,6 @@ class AffinityGraph:
     matrix: np.ndarray
     neighbors: tuple[np.ndarray, ...]
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class ClusterAssignment:
@@ -90,30 +92,20 @@ class ClusterAssignment:
         object.__setattr__(self, "labels", lab)
 
 
-def _code_matrix(codes: Sequence[SparseCode] | np.ndarray) -> np.ndarray:
-    if isinstance(codes, np.ndarray):
-        c = np.asarray(codes, dtype=float)
-    else:
-        c = np.column_stack([np.asarray(s.coeffs, dtype=float) for s in codes])
-    if c.ndim != 2:
-        raise ValueError("codes must form an (M, N) matrix")
-    return c
-
-
-def threshold_codes(codes: Sequence[SparseCode] | np.ndarray,
-                    rel_floor: float = _REL_COEFF_FLOOR) -> np.ndarray:
-    """Zero every coefficient far below its code's peak magnitude.
+def threshold_codes(codes: np.ndarray, rel_floor: float = _REL_COEFF_FLOOR) -> np.ndarray:
+    """Zero every coefficient of the (M, N) codes far below its column's peak.
 
     At finite lam an otherwise subspace-preserving code can carry tiny
     off-support activations; dropped before graph construction they cannot
     inject junk edges.  Returns an (M, N) array.
     """
-    c = _code_matrix(codes)
+    c = np.asarray(codes, dtype=float)
     return np.where(np.abs(c) < rel_floor * np.abs(c).max(axis=0), 0.0, c)
 
 
-def build_knn_graph(codes: Sequence[SparseCode] | np.ndarray, t: int) -> AffinityGraph:
-    """Connect each code to the t others with the largest positive inner product.
+def build_knn_graph(codes: np.ndarray, t: int) -> AffinityGraph:
+    """Connect each code (column of the (M, N) codes) to the t others with
+    the largest positive inner product.
 
     Codes are L2-normalized first; a zero-norm code raises ZeroCode.  Fewer
     than t neighbors are attached when fewer inner products are positive.
@@ -122,7 +114,9 @@ def build_knn_graph(codes: Sequence[SparseCode] | np.ndarray, t: int) -> Affinit
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    C = _code_matrix(codes)
+    C = np.asarray(codes, dtype=float)
+    if C.ndim != 2:
+        raise ValueError("codes must form an (M, N) matrix")
     norms = np.linalg.norm(C, axis=0)
     bad = np.flatnonzero(norms < _ZERO_NORM)
     if bad.size:
@@ -130,20 +124,13 @@ def build_knn_graph(codes: Sequence[SparseCode] | np.ndarray, t: int) -> Affinit
     Ct = C / norms
     sims = Ct.T @ Ct
     n = sims.shape[0]
+    np.fill_diagonal(sims, -np.inf)  # self excluded
+    # descending similarity, ascending index on ties
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :t]
+    rows = np.arange(n)[:, None]
     W = np.zeros((n, n), dtype=float)
-    neighbors = []
-    idx = np.arange(n)
-    for i in range(n):
-        row = sims[i]
-        # descending similarity, ascending index on ties, self excluded
-        order = np.lexsort((idx, -row))
-        order = order[order != i]
-        keep = order[row[order] > 0.0][:t]
-        W[i, keep] = 1.0
-        neighbors.append(np.array(sorted(keep), dtype=int))
-    A = W + W.T
-    np.fill_diagonal(A, 0.0)
-    return AffinityGraph(A, tuple(neighbors))
+    W[rows, top] = sims[rows, top] > 0.0
+    return AffinityGraph(W + W.T, tuple(np.flatnonzero(w) for w in W))
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -162,11 +149,11 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int, rtol: float):
+def _lloyd(X: np.ndarray, centers: np.ndarray):
     n, k = X.shape[0], centers.shape[0]
     prev_inertia = np.inf
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(n), labels].sum())
@@ -178,7 +165,7 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int, rtol: float):
                 # repopulate an empty cluster with the worst-fit point
                 far = int(np.argmax(d2[np.arange(n), labels]))
                 centers[c] = X[far]
-        if prev_inertia - inertia <= rtol * max(abs(prev_inertia), 1e-300):
+        if prev_inertia - inertia <= _LLOYD_RTOL * max(abs(prev_inertia), 1e-300):
             break
         prev_inertia = inertia
     d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -187,12 +174,11 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int, rtol: float):
     return labels, inertia
 
 
-def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator,
-            restarts: int = 10, max_iter: int = 300, rtol: float = 1e-9):
+def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
+    for _ in range(_KMEANS_RESTARTS):
         centers = _kmeans_pp_init(X, k, rng)
-        labels, inertia = _lloyd(X, centers.copy(), max_iter, rtol)
+        labels, inertia = _lloyd(X, centers.copy())
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels
@@ -233,22 +219,8 @@ def spectral_cluster(graph: AffinityGraph, n_clusters: int, seed: int = 0) -> Cl
 
 
 def _connected_components(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
-    comp = np.full(n, -1, dtype=int)
-    cur = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = cur
-        while stack:
-            v = stack.pop()
-            for w in np.flatnonzero(adj[v]):
-                if comp[w] < 0:
-                    comp[w] = cur
-                    stack.append(int(w))
-        cur += 1
-    return comp
+    """Component id of every vertex, numbered in order of the lowest vertex."""
+    return connected_components(adj, directed=False)[1]
 
 
 def _span_basis(points: np.ndarray) -> np.ndarray:
@@ -354,7 +326,6 @@ def esc_pipeline(
     n_clusters: int,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     selection: str = "ffs",
     first_index: int | None = None,
     return_details: bool = False,
@@ -362,7 +333,8 @@ def esc_pipeline(
     """Full exemplar-based clustering.
 
     Returns the ClusterAssignment, or with ``return_details`` the triple
-    (assignment, exemplars, codes).  ``selection`` is one of "ffs" (lazy
+    (assignment, exemplars, codes), codes being the SparseCodes of every
+    point.  ``selection`` is a method of ``ffs.select``: "ffs" (lazy
     search), "ffs-naive", or "random".
 
     Graph stage: the t-NN graph of the floor-cleaned codes is split into
@@ -383,21 +355,13 @@ def esc_pipeline(
     rng = np.random.default_rng(seed)
     seed_sel = int(rng.integers(2**63))
     seed_spec = int(rng.integers(2**63))
-    if selection == "ffs":
-        exemplars = ffs_lazy(data, lam, k, seed_sel, tol, max_iter, first_index)
-    elif selection == "ffs-naive":
-        exemplars = ffs_naive(data, lam, k, seed_sel, tol, max_iter, first_index)
-    elif selection == "random":
-        exemplars = select_random(data, k, seed_sel)
-    else:
-        raise ValueError(f"unknown selection method {selection!r}")
+    exemplars = select(data, selection, lam, k, seed_sel, tol, first_index)
 
     sel = list(exemplars.indices)
     A = data.points[:, sel]
-    codes = solve_lasso_batch(A, data.points, lam, tol, max_iter)
+    codes = solve_lasso_batch(A, data.points, lam, tol)
 
-    C = _code_matrix(codes)
-    norms = np.linalg.norm(C, axis=0)
+    norms = np.linalg.norm(codes.coeffs, axis=0)
     zero = norms < _ZERO_NORM
     labels = np.empty(data.count, dtype=int)
     keep = np.flatnonzero(~zero)
@@ -408,12 +372,12 @@ def esc_pipeline(
             f"{int(zero.sum())} points have zero codes at lam={lam}; "
             "attaching each to its most correlated exemplar's cluster"
         )
-    C = threshold_codes(C)
-    graph = build_knn_graph(C[:, keep], t)
+    C = threshold_codes(codes.coeffs[:, keep])
+    graph = build_knn_graph(C, t)
     comp = _connected_components(graph.matrix > 0)
     Xk = data.points[:, keep]
     if comp.max() + 1 > n_clusters:
-        kept_labels = _merge_components(Xk, C[:, keep], comp, n_clusters)
+        kept_labels = _merge_components(Xk, C, comp, n_clusters)
     else:
         kept_labels = spectral_cluster(graph, n_clusters, seed_spec).labels
     kept_labels = _refine_by_span(Xk, kept_labels)
@@ -422,9 +386,7 @@ def esc_pipeline(
         # nearest exemplar by |<x_j, x_e>|; exemplar codes are never zero
         sims = np.abs(A.T @ data.points[:, zero])
         nearest = np.asarray(sel)[np.argmax(sims, axis=0)]
-        pos = {j: p for p, j in enumerate(keep)}
-        for col, j in enumerate(np.flatnonzero(zero)):
-            labels[j] = kept_labels[pos[int(nearest[col])]]
+        labels[zero] = kept_labels[np.searchsorted(keep, nearest)]
     assignment = ClusterAssignment(labels, n_clusters)
     if return_details:
         return assignment, exemplars, codes

@@ -12,7 +12,7 @@ simply performs far fewer cost evaluations.
 
 The first exemplar is a seeded uniform draw (overridable for reproducible
 worked examples); all later choices break ties toward the lowest point
-index.
+index.  ``select`` picks a selector, or the random baseline, by name.
 """
 
 from __future__ import annotations
@@ -23,10 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix
-from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, NoConvergence, _solve_costs
+from .lasso import DEFAULT_TOL, NoConvergence, _solve_costs
 from .selfrep import cost_floor
 
-__all__ = ["SelectionStep", "ExemplarSet", "ffs_naive", "ffs_lazy", "select_random"]
+__all__ = ["METHODS", "SelectionStep", "ExemplarSet", "ffs_naive", "ffs_lazy", "select_random",
+           "select"]
+
+# the selector names ``select`` dispatches on
+METHODS = ("ffs", "ffs-naive", "random")
 
 
 @dataclass(frozen=True)
@@ -111,12 +115,12 @@ class _CostEvaluator:
     a cost comes from.
     """
 
-    def __init__(self, data: DataMatrix, lam: float, tol: float, max_iter: int):
+    def __init__(self, data: DataMatrix, lam: float, tol: float):
         X = data.points
         self.N = data.count
         self.gram = X.T @ X
         self.xnorm2 = np.ascontiguousarray(np.diag(self.gram)).copy()
-        self.solver_args = (lam, tol, max_iter)
+        self.lam, self.tol = lam, tol
         self.floor = cost_floor(lam)
         lead = X[np.argmax(X != 0.0, axis=0), np.arange(self.N)]
         canon = (X * np.where(lead < 0.0, -1.0, 1.0)).T + 0.0  # + 0.0 turns -0.0 into 0.0
@@ -138,8 +142,8 @@ class _CostEvaluator:
             G = self.gram[np.ix_(sel, sel)]
             H = self.gram[np.ix_(sel, todo)]
             try:
-                C, costs = _solve_costs(G, H, self.xnorm2[todo], *self.solver_args,
-                                        self.warm[:, todo])
+                C, costs = _solve_costs(G, H, self.xnorm2[todo], self.lam, self.tol,
+                                        warm=self.warm[:, todo])
             except NoConvergence as err:
                 raise NoConvergence(err.iterations, err.gap, int(todo[err.target_index])) from None
             self.warm[:, todo] = C
@@ -153,7 +157,6 @@ def ffs_naive(
     k: int,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     first_index: int | None = None,
 ) -> ExemplarSet:
     """Reference selector: evaluate the cost of every point each iteration.
@@ -162,7 +165,7 @@ def ffs_naive(
     maximizer (lowest index on ties).  Deterministic given the seed.
     """
     j0 = _first_index(data, lam, k, seed, first_index)
-    ev = _CostEvaluator(data, lam, tol, max_iter)
+    ev = _CostEvaluator(data, lam, tol)
     selected = [j0]
     trace = [SelectionStep(j0, 0.5 * lam, 0)]
     for _ in range(k - 1):
@@ -181,7 +184,6 @@ def ffs_lazy(
     k: int,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     first_index: int | None = None,
 ) -> ExemplarSet:
     """Bound-pruned selector; selects exactly the same indices as ffs_naive.
@@ -196,7 +198,7 @@ def ffs_lazy(
     refreshed costs as tighter bounds and counts in the step's ``evals``.
     """
     j0 = _first_index(data, lam, k, seed, first_index)
-    ev = _CostEvaluator(data, lam, tol, max_iter)
+    ev = _CostEvaluator(data, lam, tol)
     selected = [j0]
     in_set = np.zeros(ev.N, dtype=bool)
     in_set[j0] = True
@@ -236,3 +238,25 @@ def select_random(data: DataMatrix, k: int, seed: int = 0) -> ExemplarSet:
     rng = np.random.default_rng(seed)
     idx = rng.choice(data.count, size=k, replace=False)
     return ExemplarSet(tuple(int(i) for i in idx), k, seed, ())
+
+
+def select(
+    data: DataMatrix,
+    method: str,
+    lam: float,
+    k: int,
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
+    first_index: int | None = None,
+) -> ExemplarSet:
+    """k exemplars by one of METHODS: "ffs" (ffs_lazy), "ffs-naive" or "random".
+
+    The random baseline ignores lam, tol and first_index.
+    """
+    if method == "ffs":
+        return ffs_lazy(data, lam, k, seed, tol, first_index)
+    if method == "ffs-naive":
+        return ffs_naive(data, lam, k, seed, tol, first_index)
+    if method == "random":
+        return select_random(data, k, seed)
+    raise ValueError(f"unknown selection method {method!r}")

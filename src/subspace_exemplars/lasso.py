@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "LassoProblem",
     "SparseCode",
+    "SparseCodes",
     "NoConvergence",
     "solve_lasso",
     "solve_lasso_batch",
@@ -91,9 +92,27 @@ class SparseCode:
     residual: np.ndarray
     objective: float
 
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.coeffs)
+
+@dataclass(frozen=True)
+class SparseCodes:
+    """Batch solver output, one column per target.
+
+    coeffs (M, T), residuals (D, T) = X - A C, objectives (T,).  ``len``,
+    iteration and ``codes[j]`` give the per-target :class:`SparseCode`.
+    """
+
+    coeffs: np.ndarray
+    residuals: np.ndarray
+    objectives: np.ndarray
+
+    def __len__(self) -> int:
+        return self.objectives.shape[0]
+
+    def __getitem__(self, j) -> SparseCode:
+        return SparseCode(self.coeffs[:, j], self.residuals[:, j], float(self.objectives[j]))
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
 
 
 def _certificates(corr, c, e2, lam):
@@ -308,7 +327,7 @@ def _cd_core(G, H, xnorm2, lam, tol, max_iter, warm=None):
     return C, gap, kkt, sweeps, ~active
 
 
-def _solve_costs(G, H, xnorm2, lam, tol, max_iter, warm=None):
+def _solve_costs(G, H, xnorm2, lam, tol, max_iter=DEFAULT_MAX_ITER, warm=None):
     """Certified codes (M, T) and objectives (T,) from the Gram quantities.
 
     The one cost path of the package; a NoConvergence failure carries the
@@ -350,7 +369,7 @@ def solve_lasso_batch(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     warm_start: np.ndarray | None = None,
-) -> list[SparseCode]:
+) -> SparseCodes:
     """Solve one problem per target column over a shared dictionary.
 
     Keeps the target order.  Each code is certified on its own, but the
@@ -367,9 +386,8 @@ def solve_lasso_batch(
         raise ValueError(f"lam must be > 1, got {lam}")
     if X.ndim == 1:
         X = X[:, None]
-    T = X.shape[1]
     if A.shape[1] == 0:
-        return [SparseCode(np.zeros(0), X[:, t].copy(), 0.5 * lam) for t in range(T)]
+        return SparseCodes(np.zeros((0, X.shape[1])), X.copy(), np.full(X.shape[1], 0.5 * lam))
     # written so that NaN fails the checks
     if not np.max(np.abs(np.linalg.norm(A, axis=0) - 1.0)) <= _UNIT_TOL:
         raise ValueError("dictionary columns must have unit norm")
@@ -380,7 +398,7 @@ def solve_lasso_batch(
     C = np.where(np.abs(C) < SNAP_EPS, 0.0, C)
     E = X - A @ C
     obj = np.abs(C).sum(axis=0) + 0.5 * lam * (E * E).sum(axis=0)
-    return [SparseCode(C[:, t], E[:, t], float(obj[t])) for t in range(T)]
+    return SparseCodes(C, E, obj)
 
 
 def _as_points(m) -> np.ndarray:

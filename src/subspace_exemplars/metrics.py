@@ -126,17 +126,15 @@ def imbalance(selected_class_counts: Sequence[float]) -> float:
     return float(min(max(1.0 - entropy, 0.0), 1.0))
 
 
-def subspace_preserving_rate(codes, exemplar_labels, point_labels) -> float:
+def subspace_preserving_rate(codes: np.ndarray, exemplar_labels, point_labels) -> float:
     """Mean fraction of each code's L1 mass on same-class exemplars.
 
-    1.0 means every nonzero coefficient points at an exemplar from the
-    point's own class.  Zero-mass codes are excluded from the mean and
-    reported via a warning.
+    ``codes`` is the (M, N) coefficient matrix, one column per point.  1.0
+    means every nonzero coefficient points at an exemplar from the point's
+    own class.  Zero-mass codes are excluded from the mean and reported via
+    a warning.
     """
-    if isinstance(codes, np.ndarray):
-        C = np.abs(np.asarray(codes, dtype=float))
-    else:
-        C = np.abs(np.column_stack([np.asarray(c.coeffs, dtype=float) for c in codes]))
+    C = np.abs(np.asarray(codes, dtype=float))
     ex = np.asarray(exemplar_labels)
     pt = np.asarray(point_labels)
     if C.shape[0] != ex.shape[0]:

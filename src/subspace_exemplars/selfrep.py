@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import DataMatrix
-from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, _solve_costs
+from .lasso import DEFAULT_TOL, _solve_costs
 
 __all__ = ["CostReport", "TooFewPoints", "f_cost", "F_cost", "lambda_threshold", "cost_floor"]
 
@@ -44,15 +44,15 @@ def _indices(exemplars: Sequence[int]) -> list[int]:
 
 
 def _batch_costs(data: DataMatrix, sel: list[int], targets: np.ndarray | None,
-                 lam: float, tol: float, max_iter: int) -> np.ndarray:
+                 lam: float, tol: float) -> np.ndarray:
     """Objective values of all targets (default: every point) over columns sel."""
     X = data.points if targets is None else targets
     A = data.points[:, sel]
-    return _solve_costs(A.T @ A, A.T @ X, (X * X).sum(axis=0), lam, tol, max_iter)[1]
+    return _solve_costs(A.T @ A, A.T @ X, (X * X).sum(axis=0), lam, tol)[1]
 
 
 def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
-           tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
+           tol: float = DEFAULT_TOL) -> float:
     """Cost of representing the unit vector x by the indexed exemplar columns.
 
     Returns exactly lam/2 for an empty exemplar set (the defining
@@ -64,11 +64,11 @@ def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
     if not sel:
         return 0.5 * lam
     x = np.asarray(x, dtype=float).ravel()[:, None]
-    return float(_batch_costs(data, sel, x, lam, tol, max_iter)[0])
+    return float(_batch_costs(data, sel, x, lam, tol)[0])
 
 
 def F_cost(exemplars: Sequence[int], data: DataMatrix, lam: float,
-           tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> CostReport:
+           tol: float = DEFAULT_TOL) -> CostReport:
     """Worst-case cost over all data points; ties resolved to the lowest index."""
     if not lam > 1:
         raise ValueError(f"lam must be > 1, got {lam}")
@@ -76,7 +76,7 @@ def F_cost(exemplars: Sequence[int], data: DataMatrix, lam: float,
     if not sel:
         per = np.full(data.count, 0.5 * lam)
     else:
-        per = _batch_costs(data, sel, None, lam, tol, max_iter)
+        per = _batch_costs(data, sel, None, lam, tol)
     arg = int(np.argmax(per))
     return CostReport(per_point=per, sup_value=float(per[arg]), argmax_index=arg)
 

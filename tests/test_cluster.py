@@ -1,5 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_exemplars import (
     AffinityGraph,
@@ -72,6 +76,68 @@ def test_graph_order_independent():
     assert np.array_equal(restored, g.matrix)
 
 
+def _knn_reference(codes, t):
+    # one sort per row: descending similarity, ascending index on ties, self
+    # excluded
+    C = np.asarray(codes, dtype=float)
+    Ct = C / np.linalg.norm(C, axis=0)
+    sims = Ct.T @ Ct
+    n = sims.shape[0]
+    W = np.zeros((n, n))
+    neighbors = []
+    idx = np.arange(n)
+    for i in range(n):
+        row = sims[i]
+        order = np.lexsort((idx, -row))
+        order = order[order != i]
+        keep = order[row[order] > 0.0][:t]
+        W[i, keep] = 1.0
+        neighbors.append(np.array(sorted(keep), dtype=int))
+    A = W + W.T
+    np.fill_diagonal(A, 0.0)
+    return A, neighbors
+
+
+def _bfs_components(adj):
+    # components numbered in order of their lowest vertex
+    comp = np.full(adj.shape[0], -1)
+    cur = 0
+    for start in range(adj.shape[0]):
+        if comp[start] >= 0:
+            continue
+        comp[start] = cur
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in np.flatnonzero(adj[v]):
+                if comp[w] < 0:
+                    comp[w] = cur
+                    queue.append(w)
+        cur += 1
+    return comp
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.integers(1, 4).flatmap(lambda m: st.lists(
+        st.lists(st.integers(-2, 2), min_size=m, max_size=m).filter(any),
+        min_size=1, max_size=8)),
+    picks=st.lists(st.integers(0, 7), min_size=1, max_size=14),
+    t=st.integers(1, 15),
+)
+def test_graph_and_components_match_references_with_exact_ties(base, picks, t):
+    # small integer codes tie exactly, and repeated picks duplicate columns
+    codes = np.array([base[p % len(base)] for p in picks], dtype=float).T
+    graph = build_knn_graph(codes, t)
+    matrix, neighbors = _knn_reference(codes, t)
+    assert np.array_equal(graph.matrix, matrix)
+    assert len(graph.neighbors) == len(neighbors)
+    for got, want in zip(graph.neighbors, neighbors):
+        assert np.array_equal(got, want)
+    adj = graph.matrix > 0
+    assert np.array_equal(_connected_components(adj), _bfs_components(adj))
+
+
 def test_no_wrong_connections_on_independent_subspaces():
     # the affinity built from search-selected, floor-cleaned codes (the
     # pipeline's graph) never links different classes
@@ -84,7 +150,7 @@ def test_no_wrong_connections_on_independent_subspaces():
         data = synth_union_of_subspaces(spec)
         ex = ffs_lazy(data, 1e4, sum(dims), seed=seed)
         codes = solve_lasso_batch(data.points[:, list(ex.indices)], data.points, 1e4)
-        g = build_knn_graph(threshold_codes(codes), 3)
+        g = build_knn_graph(threshold_codes(codes.coeffs), 3)
         same = data.labels[:, None] == data.labels[None, :]
         violations += int((g.matrix[~same] > 0).sum())
     assert violations == 0
@@ -148,7 +214,7 @@ def test_pipeline_keeps_a_graph_without_cross_class_edges():
     spec = SubspaceSpec(5, (3, 3), (50, 50), 0.0, 1, coefficients="nonneg")
     data = synth_union_of_subspaces(spec)
     part, _, codes = esc_pipeline(data, 30.0, 10, 3, 2, seed=1, return_details=True)
-    cleaned = threshold_codes(codes)
+    cleaned = threshold_codes(codes.coeffs)
     graph = build_knn_graph(cleaned, 3)
     same = data.labels[:, None] == data.labels[None, :]
     assert not np.any(graph.matrix[~same] > 0)

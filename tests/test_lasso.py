@@ -181,7 +181,7 @@ def test_two_subspace_codes_are_subspace_preserving():
     sel = list(ffs_lazy(data, 1e4, 8, seed=2).indices)
     a = data.points[:, sel]
     codes = solve_lasso_batch(a, data.points, 1e4)
-    rate = subspace_preserving_rate(codes, data.labels[sel], data.labels)
+    rate = subspace_preserving_rate(codes.coeffs, data.labels[sel], data.labels)
     assert rate >= 1 - 1e-6
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_exemplars import (
     DataMatrix,
@@ -69,6 +71,42 @@ def test_F_cost_monotone_in_set():
     big = F_cost([0, 1, 2, 3, 4, 5], data, lam)
     assert small.sup_value >= big.sup_value - 1e-6
     assert np.all(small.per_point >= big.per_point - 1e-6)
+
+
+# every cost is certified to within the solver tolerance of its optimum
+_CERT_TOL = 1e-8
+
+_instances = dict(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    n=st.integers(2, 10),
+    lam=st.sampled_from([2.0, 10.0, 100.0, 1e4]),
+    draw=st.data(),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**_instances)
+def test_adding_an_exemplar_never_raises_a_cost(seed, d, n, lam, draw):
+    data = _random_data(np.random.default_rng(seed), d, n)
+    subset = draw.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1))
+    extra = draw.draw(st.sampled_from([j for j in range(n) if j not in subset]))
+    before = F_cost(subset, data, lam).per_point
+    after = F_cost(subset + [extra], data, lam).per_point
+    assert np.all(after <= before + _CERT_TOL)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**_instances)
+def test_permuting_the_points_permutes_the_costs(seed, d, n, lam, draw):
+    rng = np.random.default_rng(seed)
+    data = _random_data(rng, d, n)
+    subset = draw.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    perm = rng.permutation(n)
+    # point j of the permuted data is point perm[j] of the original
+    moved = F_cost(np.argsort(perm)[subset], DataMatrix(data.points[:, perm]), lam)
+    ref = F_cost(subset, data, lam).per_point
+    assert np.allclose(moved.per_point, ref[perm], rtol=0.0, atol=_CERT_TOL)
 
 
 def test_range_bounds_hold_everywhere():
