@@ -12,18 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-
-def _set_thread_cap(argv: list[str]) -> None:
-    # honored only if numpy has not been imported yet in this process
-    if "--threads" in argv:
-        i = argv.index("--threads")
-        if i + 1 < len(argv):
-            n = argv[i + 1]
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ.setdefault(var, n)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -33,7 +22,6 @@ def _parser() -> argparse.ArgumentParser:
         prog="subspace-exemplars",
         description="Exemplar selection, clustering and classification in a union of subspaces",
     )
-    p.add_argument("--threads", type=int, default=None, help="cap BLAS threads")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate a synthetic union-of-subspaces dataset")
@@ -292,7 +280,6 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _set_thread_cap(argv)
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

@@ -92,7 +92,7 @@ class ClusterAssignment:
         object.__setattr__(self, "labels", lab)
 
 
-def threshold_codes(codes: np.ndarray, rel_floor: float = _REL_COEFF_FLOOR) -> np.ndarray:
+def threshold_codes(codes: np.ndarray) -> np.ndarray:
     """Zero every coefficient of the (M, N) codes far below its column's peak.
 
     At finite lam an otherwise subspace-preserving code can carry tiny
@@ -100,7 +100,7 @@ def threshold_codes(codes: np.ndarray, rel_floor: float = _REL_COEFF_FLOOR) -> n
     inject junk edges.  Returns an (M, N) array.
     """
     c = np.asarray(codes, dtype=float)
-    return np.where(np.abs(c) < rel_floor * np.abs(c).max(axis=0), 0.0, c)
+    return np.where(np.abs(c) < _REL_COEFF_FLOOR * np.abs(c).max(axis=0), 0.0, c)
 
 
 def build_knn_graph(codes: np.ndarray, t: int) -> AffinityGraph:

@@ -234,12 +234,7 @@ def inradius(hull: SymmetricHull, grid_resolution: float) -> float:
     if np.linalg.matrix_rank(g, tol=1e-10) < hull.dim:
         raise DegenerateHull("hull does not span the ambient space")
     if hull.dim == 2:
-        gauge_max = _coarse_to_fine_angles(
-            grid_resolution,
-            lambda t: minkowski_functional(hull, np.array([math.cos(t), math.sin(t)])),
-            maximize=True,
-        )
-        return 1.0 / gauge_max
+        return 1.0 / sup_gauge_on_sphere(hull, grid_resolution)
     if hull.dim == 3:
         def gauge(theta: float, phi: float) -> float:
             st = math.sin(theta)

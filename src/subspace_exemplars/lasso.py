@@ -4,15 +4,16 @@ Solves, for a unit-norm target x and a dictionary A of unit-norm columns,
 
     min_c  ||c||_1 + (lam / 2) * ||x - A c||_2^2,       lam > 1,
 
-by cyclic coordinate descent with soft thresholding, for many targets at
-once.  Periodically an active-set finisher solves the stationarity system
-exactly on the supports found so far, for all unconverged targets in one
-batched call.  Convergence is certified: the returned coefficients satisfy
-the subgradient optimality conditions within the requested tolerance and
-the duality gap at return is below it as well.  Both quantities can be
-recomputed independently from the returned code via :func:`kkt_violation`
-and :func:`duality_gap`.  Non-finite input is rejected or stops the solver
-at once.
+for many targets at once.  After one sweep of cyclic coordinate descent
+with soft thresholding, every unconverged target follows the lasso
+homotopy from c = 0 down to the level 1/lam, all targets in lock-step
+rounds of one batched solve; coordinate descent goes on for any target the
+homotopy leaves uncertified.  Convergence is certified: the returned
+coefficients satisfy the subgradient optimality conditions within the
+requested tolerance and the duality gap at return is below it as well.
+Both quantities can be recomputed independently from the returned code via
+:func:`kkt_violation` and :func:`duality_gap`.  Non-finite input is
+rejected or stops the solver at once.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ DEFAULT_MAX_ITER = 100_000
 SNAP_EPS = 1e-12
 
 _UNIT_TOL = 1e-10
+
+# the homotopy lets no column join whose correlation moves with the level
+# to within this rate (|1 -+ a_j| below it)
+_JOIN_EPS = 1e-10
 
 
 class NoConvergence(RuntimeError):
@@ -138,116 +143,73 @@ def _certificates(corr, c, e2, lam):
     return kkt, gap
 
 
-def _exact_solve(G, H, alpha, C0):
-    """Active-set finisher for every unconverged target of one CD checkpoint.
+def _exact_solve(G, H, alpha):
+    """Lasso homotopy from c = 0 for every unconverged target of a batch.
 
-    H, C0 : (M, T); returns the (M, T) coefficients.  Each target takes
-    feature-sign steps from its CD support: an exact solve of the
-    sign-restricted stationarity system, then a slide along the null
-    direction of an infeasible pattern (support above the rank of its Gram
-    block; the fit stays unchanged until a coefficient hits zero), the best
-    of the sign crossings and the full step of a feasible one, or, at the
-    pattern's optimum (a full step that kept the signs it was solved for),
-    activation of the worst inactive coordinate or the finish.  Targets step
-    together in rounds of one stacked solve, each support packed into the
-    leading slots of the widest and padded by the identity.  Every step
-    reaches stationarity or shrinks the support, and the caller certifies
-    the result, so an early exit here is harmless.
+    H : (M, T); returns the (M, T) coefficients.  Each target follows its
+    piecewise-linear solution path as the level mu falls from max |h| to
+    alpha (Osborne, Presnell & Turlach, 2000; Efron et al., 2004): on the
+    active set S with signs s, c_S moves along d = G_SS^-1 s_S and each
+    inactive correlation h_j - (G c)_j at rate -a_j, a = G d, up to the
+    nearest join (it reaches +-mu), drop (an active c_i reaches zero) or
+    alpha.  Targets step in lock-step rounds of one stacked solve of their
+    identity-padded Gram blocks.  A column joins with sign +-1 only while
+    1 -+ a_j > _JOIN_EPS: a column that moves with the level (a copy of an
+    active one) would make its block singular, and one just dropped with
+    sign s_j has 1 - s_j a_j = -(Schur complement) * s_j d_j < 0, so it
+    cannot rejoin with that sign.  The path ends with one iteratively
+    refined solve of G_SS c_S = h_S - alpha s_S on the final support and
+    signs.  The caller certifies the result.
     """
     M, T = H.shape
     h = H.T
-    c = np.array(C0.T, dtype=float)  # (T, M): one target per row
-    sup = c != 0.0  # may hold a just-activated zero coefficient
-    th = np.sign(c)
-    stationary = np.zeros(T, dtype=bool)
-    live = np.ones(T, dtype=bool)
-    eps = np.finfo(float).eps
-    thresh = alpha * (1.0 + 1e-12) + 1e-15
+    c, s = np.zeros((T, M)), np.zeros((T, M))  # s: signs of the active set, 0 off it
+    mu = np.abs(h).max(axis=1, initial=0.0)
+    live = mu > alpha
+    eye = np.eye(M)
 
-    def apply(mats, vecs):
-        return (mats @ vecs[:, :, None])[:, :, 0]
+    def blocks(rows):
+        on = s[rows] != 0.0
+        return np.where(on[:, :, None] & on[:, None, :], G, eye), on
 
     for _ in range(8 * M + 64):
-        # a target at its pattern's optimum (the last solve of this pattern
-        # was feasible and its full step kept the signs) needs no new solve
-        solve = live & sup.any(axis=1) & ~stationary
-        rows, ra = np.flatnonzero(solve), np.flatnonzero(live & ~solve)
-        m = sup[rows]
-        idx = np.argsort(~m, axis=1, kind="stable")[:, : m.sum(axis=1).max(initial=1)]
-        r = np.arange(rows.size)[:, None]
-        on = m[r, idx]
-        gm = np.where(on[:, :, None] & on[:, None, :], G[idx[:, :, None], idx[:, None, :]],
-                      np.eye(idx.shape[1]))
-        rhs = np.where(on, h[rows[:, None], idx] - alpha * th[rows[:, None], idx], 0.0)
-        # pseudo-inverse with the cutoff lstsq uses on the unpadded block
-        w, V = np.linalg.eigh(gm)
-        cutoff = eps * on.sum(axis=1, keepdims=True) * np.abs(w).max(axis=1, keepdims=True)
-        inv = np.divide(1.0, w, out=np.zeros_like(w), where=np.abs(w) > cutoff)
-        pinv = (V * inv[:, None, :]) @ V.transpose(0, 2, 1)
-        sol = np.where(on, apply(pinv, rhs), 0.0)
-        res = np.where(on, apply(gm, sol) - rhs, 0.0)
-        # iterative refinement: the restricted Gram can be ill-conditioned
-        # and a single solve leaves a stationarity error of order cond * eps
-        for _ in range(4):
-            bad = np.abs(res).max(axis=1) >= 1e-15
-            if not bad.any():
-                break
-            sol[bad] -= np.where(on[bad], apply(pinv[bad], res[bad]), 0.0)
-            res = np.where(on, apply(gm, sol) - rhs, 0.0)
-        infeasible = np.abs(res).max(axis=1) > 1e-11
-        solution, resid = np.zeros((rows.size, M)), np.zeros((rows.size, M))
-        solution[r, idx], resid[r, idx] = sol, res
-
-        rs, d = rows[infeasible], -resid[infeasible]
-        if rs.size:
-            # -resid spans the inconsistent null component; moving along it
-            # leaves the fit unchanged, lowers the linearized objective, and
-            # must drive some coefficient to zero
-            cs = c[rs]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tc = np.where(cs * d < 0, -cs / np.where(d != 0.0, d, 1.0), np.inf)
-            tmin = tc.min(axis=1)
-            ok = np.isfinite(tmin)
-            live[rs[~ok]] = False
-            new = cs[ok] + tmin[ok, None] * d[ok]
-            new[np.isclose(tc[ok], tmin[ok, None])] = 0.0
-            new[np.abs(new) < 1e-15] = 0.0
-            c[rs[ok]] = new
-
-        rf, s = rows[~infeasible], solution[~infeasible]
-        if rf.size:
-            cs = c[rf]
-            delta = s - cs
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tc = np.where(cs * s < 0, -cs / np.where(delta != 0.0, delta, 1.0), np.inf)
-            # crossings in (0, 1) in increasing order, then the full step;
-            # unused slots repeat the full step, so the first minimum wins
-            valid = (tc > 0.0) & (tc < 1.0)
-            t = np.sort(np.where(valid, tc, np.inf), axis=1)[:, : valid.sum(axis=1).max()]
-            t = np.minimum(np.concatenate([t, np.ones((rf.size, 1))], axis=1), 1.0)
-            cand = cs[:, None, :] + t[:, :, None] * delta[:, None, :]
-            cand[np.abs(cand) < 1e-15] = 0.0
-            f = ((0.5 * (cand @ G) - h[rf, None, :]) * cand).sum(axis=2)
-            pick = np.argmin(f + alpha * np.abs(cand).sum(axis=2), axis=1)
-            c[rf] = cand[np.arange(rf.size), pick]
-            full = t[np.arange(rf.size), pick] == 1.0
-            stationary[rf] = full & (np.sign(c[rf]) == th[rf]).all(axis=1)
-        sup[rows] = c[rows] != 0.0
-        th[rows] = np.sign(c[rows])
-
-        # empty support or at the pattern's optimum: activate the worst
-        # inactive coordinate or finish
-        corr = h[ra] - c[ra] @ G
-        viol = np.abs(corr) * ~sup[ra]
-        top = np.arange(ra.size), viol.argmax(axis=1)
-        fin = viol[top] <= thresh
-        live[ra[fin]] = False
-        grow, i = ra[~fin], top[1][~fin]
-        sup[grow, i] = True
-        th[grow, i] = np.sign(corr[top][~fin])
-        stationary[grow] = False
-        if not live.any():
+        rows = np.flatnonzero(live)
+        if not rows.size:
             break
+        gm, on = blocks(rows)
+        d = np.linalg.solve(gm, s[rows][:, :, None])[:, :, 0]
+        a = d @ G
+        r = h[rows] - c[rows] @ G
+        m = mu[rows, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            join = [np.where(~on & (1.0 - sg * a > _JOIN_EPS),
+                             np.maximum(m - sg * r, 0.0) / (1.0 - sg * a), np.inf)
+                    for sg in (1.0, -1.0)]
+            drop = np.where(s[rows] * d < 0.0, -c[rows] / d, np.inf)
+        events = np.concatenate(join + [drop], axis=1)
+        k = events.argmin(axis=1)
+        step = np.minimum(events.min(axis=1), mu[rows] - alpha)
+        end = step == mu[rows] - alpha
+        c[rows] += step[:, None] * d
+        mu[rows] -= step
+        live[rows[end]] = False
+        ev, kind, j = rows[~end], k[~end] // M, k[~end] % M
+        c[ev[kind == 2], j[kind == 2]] = 0.0
+        s[ev, j] = np.array([1.0, -1.0, 0.0])[kind]
+
+    # the exact solve on the final support and signs; iterative refinement,
+    # since the restricted Gram can be ill-conditioned
+    rows = np.flatnonzero((s != 0.0).any(axis=1))
+    gm, on = blocks(rows)
+    rhs = np.where(on, h[rows] - alpha * s[rows], 0.0)[:, :, None]
+    inv = np.linalg.inv(gm)
+    sol = inv @ rhs
+    for _ in range(4):
+        res = gm @ sol - rhs
+        if not np.abs(res).max(initial=0.0) >= 1e-15:
+            break
+        sol -= inv @ res
+    c[rows] = sol[:, :, 0]
     return c.T
 
 
@@ -257,11 +219,12 @@ def _cd_core(G, H, xnorm2, lam, tol, max_iter, warm=None):
     G : (M, M) dictionary Gram; H : (M, T) dictionary-target inner products;
     xnorm2 : (T,) squared target norms; warm : optional (M, T) start.
 
-    Cyclic soft-thresholding sweeps identify the supports.  After the first
-    sweep and every third one after it, one :func:`_exact_solve` call
-    finishes all unconverged targets, and a finished target is kept when its
-    optimality certificates pass; this removes the slow tail of plain
-    descent.  Targets are frozen individually once their duality gap and KKT
+    After the first cyclic soft-thresholding sweep, one :func:`_exact_solve`
+    call (the homotopy from zero, so it would return the same result at any
+    later sweep) finishes all unconverged targets, and a finished target is
+    kept when its optimality certificates pass; this removes the slow tail of
+    plain descent, which goes on only for the targets it leaves uncertified.
+    Targets are frozen individually once their duality gap and KKT
     violation drop below half the tolerance (margin for the exact
     recomputation done by callers).  The sweeps stop at the first non-finite
     gap, so non-finite input fails at once, not after max_iter sweeps.
@@ -299,12 +262,12 @@ def _cd_core(G, H, xnorm2, lam, tol, max_iter, warm=None):
         cols = np.flatnonzero(active)
         k_act, g_act = certify(cols)
         done_now = (g_act <= gap_tol) & (k_act <= kkt_tol)
-        if sweeps >= 1 and (sweeps - 1) % 3 == 0 and not done_now.all():
-            # finish unconverged targets on their current supports
+        if sweeps == 1 and not done_now.all():
+            # finish unconverged targets by the homotopy
             pos = np.flatnonzero(~done_now)
             t = cols[pos]
             old = C[:, t]
-            C[:, t] = _exact_solve(G, H[:, t], alpha, old)
+            C[:, t] = _exact_solve(G, H[:, t], alpha)
             GC[:, t] = G @ C[:, t]
             k_new, g_new = certify(t)
             ok = (g_new <= gap_tol) & (k_new <= kkt_tol)

@@ -5,6 +5,7 @@ from subspace_exemplars import (
     DataMatrix,
     LassoProblem,
     NoConvergence,
+    SparseCode,
     SubspaceSpec,
     duality_gap,
     kkt_violation,
@@ -197,6 +198,29 @@ def test_full_step_that_crosses_zero_is_not_stationary():
     # the 4-sweep solution of the solver that took the crossing as stationary
     expected = [-0.12928370045491824, 0.0003706388806496985, 0.2564461080646064]
     assert np.allclose(code.coeffs, expected, rtol=0.0, atol=1e-12)
+
+
+def test_repeated_columns_with_random_signs_are_certified():
+    # a copy of an active column (either sign) moves with the homotopy's
+    # level; let into the support, it makes the active Gram block singular
+    rng = np.random.default_rng(12)
+    for case in range(200):
+        d, nb = int(rng.integers(3, 10)), int(rng.integers(1, 7))
+        base = _unit_columns(rng, d, nb)
+        while np.abs(base.T @ base - np.eye(nb)).max() > 0.9:
+            base = _unit_columns(rng, d, nb)
+        rep = rng.integers(0, nb, size=int(rng.integers(1, 2 * nb + 1)))
+        a = np.concatenate([base, base[:, rep] * rng.choice([-1.0, 1.0], rep.size)], axis=1)
+        a = a[:, rng.permutation(a.shape[1])]
+        picks = a[:, rng.integers(0, a.shape[1], 2)] * rng.choice([-1.0, 1.0], 2)
+        x = np.concatenate([_unit_columns(rng, d, 3), picks], axis=1)
+        lam = (2.0, 10.0, 100.0)[case % 3]
+        codes = solve_lasso_batch(a, x, lam)
+        for j, code in enumerate(codes):
+            # the stored residual is taken as given by the certificates
+            fresh = SparseCode(code.coeffs, x[:, j] - a @ code.coeffs, code.objective)
+            assert kkt_violation(a, x[:, j], lam, fresh) <= 1e-8
+            assert duality_gap(a, x[:, j], lam, fresh) <= 1e-8
 
 
 def test_problem_rejects_non_finite():
