@@ -91,14 +91,20 @@ def _write_json(doc: dict, path) -> None:
 
 
 def _read_label_file(path):
+    """Integer labels, one per line; any other value raises ParseError, as in load_csv."""
     import numpy as np
+
+    from .dataset import ParseError
 
     vals = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if line:
-                vals.append(int(float(line)))
+                try:
+                    vals.append(int(line))
+                except ValueError:
+                    raise ParseError(lineno, f"bad label {line!r}") from None
     return np.asarray(vals, dtype=int)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix
-from .lasso import DEFAULT_TOL, NoConvergence, _solve_costs
+from .lasso import DEFAULT_TOL, NoConvergence, _check_params, _solve_costs
 from .selfrep import cost_floor
 
 __all__ = ["METHODS", "SelectionStep", "ExemplarSet", "ffs_naive", "ffs_lazy", "select_random",
@@ -92,13 +92,12 @@ class ExemplarSet:
         )
 
 
-def _first_index(data: DataMatrix, lam: float, k: int, seed: int,
+def _first_index(data: DataMatrix, lam: float, k: int, seed: int, tol: float,
                  first_index: int | None) -> int:
     """Check the arguments; return the first exemplar (a seeded draw by default)."""
     if not 1 <= k <= data.count:
         raise ValueError(f"k={k} must be in [1, N={data.count}]")
-    if not lam > 1:
-        raise ValueError(f"lam must be > 1, got {lam}")
+    _check_params(lam, tol)
     if first_index is None:
         return int(np.random.default_rng(seed).integers(data.count))
     if not 0 <= first_index < data.count:
@@ -145,7 +144,7 @@ class _CostEvaluator:
                 C, costs = _solve_costs(G, H, self.xnorm2[todo], self.lam, self.tol,
                                         warm=self.warm[:, todo])
             except NoConvergence as err:
-                raise NoConvergence(err.iterations, err.gap, int(todo[err.target_index])) from None
+                raise NoConvergence(err.gap, int(todo[err.target_index])) from None
             self.warm[:, todo] = C
             out[free] = costs[back]
         return out
@@ -164,7 +163,7 @@ def ffs_naive(
     Iteration i computes f(x_j, current set) for all N points and appends the
     maximizer (lowest index on ties).  Deterministic given the seed.
     """
-    j0 = _first_index(data, lam, k, seed, first_index)
+    j0 = _first_index(data, lam, k, seed, tol, first_index)
     ev = _CostEvaluator(data, lam, tol)
     selected = [j0]
     trace = [SelectionStep(j0, 0.5 * lam, 0)]
@@ -197,7 +196,7 @@ def ffs_lazy(
     one-point scan would.  The block overshoot past the stop point keeps its
     refreshed costs as tighter bounds and counts in the step's ``evals``.
     """
-    j0 = _first_index(data, lam, k, seed, first_index)
+    j0 = _first_index(data, lam, k, seed, tol, first_index)
     ev = _CostEvaluator(data, lam, tol)
     selected = [j0]
     in_set = np.zeros(ev.N, dtype=bool)

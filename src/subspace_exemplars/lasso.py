@@ -4,20 +4,22 @@ Solves, for a unit-norm target x and a dictionary A of unit-norm columns,
 
     min_c  ||c||_1 + (lam / 2) * ||x - A c||_2^2,       lam > 1,
 
-for many targets at once.  After one sweep of cyclic coordinate descent
-with soft thresholding, every unconverged target follows the lasso
-homotopy from c = 0 down to the level 1/lam, all targets in lock-step
-rounds of one batched solve; coordinate descent goes on for any target the
-homotopy leaves uncertified.  Convergence is certified: the returned
+for many targets at once.  A start (a warm code, else zero) that meets the
+optimality certificates is kept; every other target follows the lasso
+homotopy from c = 0 down to the level 1/lam, all targets in lock-step rounds
+of one batched solve.  The path has a bounded number of rounds and there is
+no iteration limit: a code that still misses the tolerance raises
+:class:`NoConvergence` at once.  Convergence is certified: the returned
 coefficients satisfy the subgradient optimality conditions within the
 requested tolerance and the duality gap at return is below it as well.
-Both quantities can be recomputed independently from the returned code via
-:func:`kkt_violation` and :func:`duality_gap`.  Non-finite input is
-rejected or stops the solver at once.
+Both can be recomputed from the returned code via :func:`kkt_violation` and
+:func:`duality_gap`.  Non-finite data, a lam that is not finite and > 1 and
+a tol that is not finite and > 0 are rejected with ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100_000
 
 # coefficients below this magnitude are snapped to zero after convergence so
 # sparsity patterns are stable
@@ -48,16 +49,21 @@ _JOIN_EPS = 1e-10
 
 
 class NoConvergence(RuntimeError):
-    """Coordinate descent exhausted max_iter sweeps above tolerance."""
+    """The solver's code misses the tolerance; carries its duality gap."""
 
-    def __init__(self, iterations: int, gap: float, target_index: int | None = None):
-        self.iterations = iterations
+    def __init__(self, gap: float, target_index: int | None = None):
         self.gap = gap
         self.target_index = target_index
         where = "" if target_index is None else f" (target {target_index})"
-        super().__init__(
-            f"no convergence after {iterations} sweeps{where}: duality gap {gap:.3e}"
-        )
+        super().__init__(f"no certified code{where}: duality gap {gap:.3e}")
+
+
+def _check_params(lam: float, tol: float = DEFAULT_TOL) -> None:
+    """Reject a lam that is not finite and > 1 or a tol that is not finite and > 0."""
+    if not (math.isfinite(lam) and lam > 1):
+        raise ValueError(f"lam must be finite and > 1, got {lam}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ class LassoProblem:
 
     dictionary : (D, M) array of unit-norm columns (M may be 0).
     target     : (D,) unit-norm vector.
-    lam        : regularization weight, must exceed 1.
+    lam        : regularization weight, finite and > 1.
     """
 
     dictionary: np.ndarray
@@ -78,8 +84,7 @@ class LassoProblem:
         x = np.asarray(self.target, dtype=float).ravel()
         if a.ndim != 2 or a.shape[0] != x.shape[0]:
             raise ValueError("dictionary must be (D, M) with D matching the target")
-        if not self.lam > 1:
-            raise ValueError(f"lam must be > 1, got {self.lam}")
+        _check_params(self.lam)
         # written so that NaN fails the checks
         if a.shape[1] and not np.max(np.abs(np.linalg.norm(a, axis=0) - 1.0)) <= _UNIT_TOL:
             raise ValueError("dictionary columns must have unit norm")
@@ -213,140 +218,86 @@ def _exact_solve(G, H, alpha):
     return c.T
 
 
-def _cd_core(G, H, xnorm2, lam, tol, max_iter, warm=None):
-    """Coordinate descent over possibly many targets sharing one dictionary.
+def _cd_core(G, H, xnorm2, lam, tol, warm=None):
+    """Certified codes for possibly many targets sharing one dictionary.
 
     G : (M, M) dictionary Gram; H : (M, T) dictionary-target inner products;
     xnorm2 : (T,) squared target norms; warm : optional (M, T) start.
 
-    After the first cyclic soft-thresholding sweep, one :func:`_exact_solve`
-    call (the homotopy from zero, so it would return the same result at any
-    later sweep) finishes all unconverged targets, and a finished target is
-    kept when its optimality certificates pass; this removes the slow tail of
-    plain descent, which goes on only for the targets it leaves uncertified.
-    Targets are frozen individually once their duality gap and KKT
-    violation drop below half the tolerance (margin for the exact
-    recomputation done by callers).  The sweeps stop at the first non-finite
-    gap, so non-finite input fails at once, not after max_iter sweeps.
-    Returns (C, gap, kkt, sweeps, converged_mask).
+    Three steps: certify the start (warm, else zero); solve every finite
+    target it leaves uncertified with one :func:`_exact_solve` call; certify
+    those again.  A target passes when its duality gap is below 3/4 and its
+    KKT violation below 1/2 of the tolerance (margin for the exact
+    recomputation done by callers); a non-finite one is not solved.  Returns
+    (C, gap, kkt, ran, done), ran being 1 when the homotopy ran, else 0.
+
+    The name, the leading arguments and the 5-tuple with an int at position
+    3 stay because the benchmark hooks them: ``perfbench/layers.py`` counts
+    the calls and adds position 3 to its sweep counter, and
+    ``perfbench/test_smoke.py`` asserts that calls were counted.  The run
+    report of ROADMAP item 4 retires the name.
     """
     M, T = H.shape
-    alpha = 1.0 / lam
-    kkt_tol = 0.5 * tol
-    gap_tol = 0.75 * tol  # float noise on the gap grows with lam
-    if warm is None:
-        C = np.zeros((M, T))
-        GC = np.zeros((M, T))
-    else:
-        C = np.array(warm, dtype=float)
-        if C.shape != (M, T):
-            raise ValueError("warm start has wrong shape")
-        GC = G @ C
-    diag = np.ascontiguousarray(np.diag(G))
-    active = np.ones(T, dtype=bool)
-    gap = np.zeros(T)
-    kkt = np.zeros(T)
-    sweeps = 0
+    C = np.zeros((M, T)) if warm is None else np.array(warm, dtype=float)
+    if C.shape != (M, T):
+        raise ValueError("warm start has wrong shape")
 
     def certify(cols):
-        corr = H[:, cols] - GC[:, cols]
-        e2 = np.maximum(
-            xnorm2[cols]
-            - 2.0 * (C[:, cols] * H[:, cols]).sum(axis=0)
-            + (C[:, cols] * GC[:, cols]).sum(axis=0),
-            0.0,
-        )
-        return _certificates(corr, C[:, cols], e2, lam)
+        c, h = C[:, cols], H[:, cols]
+        gc = G @ c
+        e2 = np.maximum(xnorm2[cols] - 2.0 * (c * h).sum(axis=0) + (c * gc).sum(axis=0), 0.0)
+        kkt, gap = _certificates(h - gc, c, e2, lam)
+        # float noise on the gap grows with lam
+        return kkt, gap, (gap <= 0.75 * tol) & (kkt <= 0.5 * tol)
 
-    for sweeps in range(max_iter + 1):
-        cols = np.flatnonzero(active)
-        k_act, g_act = certify(cols)
-        done_now = (g_act <= gap_tol) & (k_act <= kkt_tol)
-        if sweeps == 1 and not done_now.all():
-            # finish unconverged targets by the homotopy
-            pos = np.flatnonzero(~done_now)
-            t = cols[pos]
-            old = C[:, t]
-            C[:, t] = _exact_solve(G, H[:, t], alpha)
-            GC[:, t] = G @ C[:, t]
-            k_new, g_new = certify(t)
-            ok = (g_new <= gap_tol) & (k_new <= kkt_tol)
-            k_act[pos[ok]], g_act[pos[ok]] = k_new[ok], g_new[ok]
-            done_now[pos[ok]] = True
-            C[:, t[~ok]] = old[:, ~ok]
-            GC[:, t[~ok]] = G @ old[:, ~ok]
-        kkt[cols] = k_act
-        gap[cols] = g_act
-        active[cols[done_now]] = False
-        if not active.any() or sweeps == max_iter or not np.isfinite(g_act).all():
-            break
-        for i in range(M):
-            rho = H[i] - GC[i] + diag[i] * C[i]
-            cnew = np.sign(rho) * np.maximum(np.abs(rho) - alpha, 0.0) / diag[i]  # soft threshold
-            delta = np.where(active, cnew - C[i], 0.0)
-            if np.any(delta):
-                C[i] += delta
-                GC += np.outer(G[:, i], delta)
-    return C, gap, kkt, sweeps, ~active
+    kkt, gap, done = certify(np.arange(T))
+    redo = np.flatnonzero(~done & np.isfinite(gap))
+    if redo.size:
+        C[:, redo] = _exact_solve(G, H[:, redo], 1.0 / lam)
+        kkt[redo], gap[redo], done[redo] = certify(redo)
+    return C, gap, kkt, int(redo.size > 0), done
 
 
-def _solve_costs(G, H, xnorm2, lam, tol, max_iter=DEFAULT_MAX_ITER, warm=None):
+def _solve_costs(G, H, xnorm2, lam, tol, warm=None):
     """Certified codes (M, T) and objectives (T,) from the Gram quantities.
 
     The one cost path of the package; a NoConvergence failure carries the
-    position of the first unconverged target.
+    position of the first uncertified target.
     """
-    C, gap, _, sweeps, done = _cd_core(G, H, xnorm2, lam, tol, max_iter, warm)
+    C, gap, _, _, done = _cd_core(G, H, xnorm2, lam, tol, warm)
     if not done.all():
         bad = int(np.flatnonzero(~done)[0])
-        raise NoConvergence(sweeps, float(gap[bad]), target_index=bad)
+        raise NoConvergence(float(gap[bad]), target_index=bad)
     e2 = np.maximum(xnorm2 - 2.0 * (C * H).sum(axis=0) + (C * (G @ C)).sum(axis=0), 0.0)
     return C, np.abs(C).sum(axis=0) + 0.5 * lam * e2
 
 
-def solve_lasso(
-    problem: LassoProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    warm_start: np.ndarray | None = None,
-) -> SparseCode:
+def solve_lasso(problem: LassoProblem, tol: float = DEFAULT_TOL) -> SparseCode:
     """Solve one problem to certified optimality.
 
-    Raises NoConvergence if max_iter coordinate sweeps do not reach the
-    tolerance.  An empty dictionary returns the conventional value lam/2 with
-    an empty coefficient vector.
+    Raises NoConvergence when the homotopy's code misses the tolerance.  An
+    empty dictionary returns the conventional value lam/2 with an empty
+    coefficient vector.
     """
-    warm = None if warm_start is None else np.asarray(warm_start, dtype=float)[:, None]
     try:
-        return solve_lasso_batch(
-            problem.dictionary, problem.target, problem.lam, tol, max_iter, warm
-        )[0]
+        return solve_lasso_batch(problem.dictionary, problem.target, problem.lam, tol)[0]
     except NoConvergence as err:
-        raise NoConvergence(err.iterations, err.gap) from None
+        raise NoConvergence(err.gap) from None
 
 
-def solve_lasso_batch(
-    dictionary,
-    targets,
-    lam: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    warm_start: np.ndarray | None = None,
-) -> SparseCodes:
+def solve_lasso_batch(dictionary, targets, lam: float, tol: float = DEFAULT_TOL) -> SparseCodes:
     """Solve one problem per target column over a shared dictionary.
 
     Keeps the target order.  Each code is certified on its own, but the
     batch shares matrix products, so a code can differ from the one a
     per-target :func:`solve_lasso` call returns in the last digits.  A
-    NoConvergence failure carries the index of the offending target.
-    Accepts plain arrays or objects with a ``points`` attribute (DataMatrix).
+    NoConvergence failure carries the index of the first target whose code
+    misses the tolerance.  Accepts plain arrays or objects with a ``points``
+    attribute (DataMatrix).
     """
     A = _as_points(dictionary)
     X = _as_points(targets)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not lam > 1:
-        raise ValueError(f"lam must be > 1, got {lam}")
+    _check_params(lam, tol)
     if X.ndim == 1:
         X = X[:, None]
     if A.shape[1] == 0:
@@ -356,7 +307,7 @@ def solve_lasso_batch(
         raise ValueError("dictionary columns must have unit norm")
     if not np.max(np.abs(np.linalg.norm(X, axis=0) - 1.0)) <= _UNIT_TOL:
         raise ValueError("targets must have unit norm")
-    C, _ = _solve_costs(A.T @ A, A.T @ X, (X * X).sum(axis=0), lam, tol, max_iter, warm_start)
+    C, _ = _solve_costs(A.T @ A, A.T @ X, (X * X).sum(axis=0), lam, tol)
     # snap tiny coefficients, recompute residuals and objectives exactly
     C = np.where(np.abs(C) < SNAP_EPS, 0.0, C)
     E = X - A @ C

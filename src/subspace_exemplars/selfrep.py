@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import DataMatrix
-from .lasso import DEFAULT_TOL, _solve_costs
+from .lasso import DEFAULT_TOL, _check_params, _solve_costs
 
 __all__ = ["CostReport", "TooFewPoints", "f_cost", "F_cost", "lambda_threshold", "cost_floor"]
 
@@ -58,8 +58,7 @@ def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
     Returns exactly lam/2 for an empty exemplar set (the defining
     convention).
     """
-    if not lam > 1:
-        raise ValueError(f"lam must be > 1, got {lam}")
+    _check_params(lam, tol)
     sel = _indices(exemplars)
     if not sel:
         return 0.5 * lam
@@ -70,8 +69,7 @@ def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
 def F_cost(exemplars: Sequence[int], data: DataMatrix, lam: float,
            tol: float = DEFAULT_TOL) -> CostReport:
     """Worst-case cost over all data points; ties resolved to the lowest index."""
-    if not lam > 1:
-        raise ValueError(f"lam must be > 1, got {lam}")
+    _check_params(lam, tol)
     sel = _indices(exemplars)
     if not sel:
         per = np.full(data.count, 0.5 * lam)

@@ -120,6 +120,24 @@ def test_eval_perfect_prediction(dataset, tmp_path):
     assert doc["metrics"]["fscore"] == 100.0
 
 
+def test_eval_rejects_non_integer_labels(tmp_path, capsys):
+    truth, pred = tmp_path / "truth.csv", tmp_path / "pred.csv"
+    truth.write_text("1\n0\n")
+    pred.write_text("1.7\n0\n")
+    rc = _run("eval", "--truth", truth, "--pred", pred, "--out", tmp_path / "eval.json")
+    assert rc == 2
+    assert "1.7" in capsys.readouterr().err
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_select_rejects_a_negative_tol(dataset, tmp_path, capsys):
+    out = tmp_path / "sel.json"
+    rc = _run("select", "--data", dataset, "--with-labels", "--k", 3, "--tol", -1, "--out", out)
+    assert rc == 2
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_eq15(tmp_path):
     out = tmp_path / "audit.json"
     rc = _run("oracle", "--check", "eq15", "--trials", 25, "--out", out)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from subspace_exemplars import (
     subspace_preserving_rate,
     synth_union_of_subspaces,
 )
-from subspace_exemplars.lasso import _cd_core
+from subspace_exemplars.lasso import _cd_core, _solve_costs
 
 
 def _unit_columns(rng, d, m):
@@ -112,10 +114,15 @@ def test_tiny_coefficients_snapped():
 def test_warm_start_reaches_same_solution():
     rng = np.random.default_rng(5)
     a = _unit_columns(rng, 7, 9)
-    x = _unit_columns(rng, 7, 1)[:, 0]
-    cold = solve_lasso(LassoProblem(a, x, 60.0))
-    warm = solve_lasso(LassoProblem(a, x, 60.0), warm_start=cold.coeffs)
-    assert abs(cold.objective - warm.objective) <= 1e-9
+    x = _unit_columns(rng, 7, 1)
+    G, H, xnorm2 = a.T @ a, a.T @ x, (x * x).sum(axis=0)
+    cold, cold_obj = _solve_costs(G, H, xnorm2, 60.0, 1e-8)
+    # a certified warm code comes back unchanged
+    kept, _ = _solve_costs(G, H, xnorm2, 60.0, 1e-8, warm=cold)
+    assert np.array_equal(kept, cold)
+    # an uncertified one is solved again, to the cold objective
+    _, warm_obj = _solve_costs(G, H, xnorm2, 60.0, 1e-8, warm=cold + 0.01)
+    assert abs(cold_obj[0] - warm_obj[0]) <= 1e-9
 
 
 def test_problem_validation():
@@ -129,14 +136,14 @@ def test_problem_validation():
         solve_lasso(LassoProblem(np.eye(2), np.array([1.0, 0.0]), 2.0), tol=0.0)
 
 
-def test_no_convergence_reports_iterations_and_gap():
+def test_no_convergence_reports_gap():
     rng = np.random.default_rng(1)
     a = _unit_columns(rng, 6, 6)
     x = _unit_columns(rng, 6, 1)[:, 0]
     with pytest.raises(NoConvergence) as err:
-        solve_lasso(LassoProblem(a, x, 100.0), max_iter=0)
-    assert err.value.iterations == 0
-    assert err.value.gap > 1e-8
+        solve_lasso(LassoProblem(a, x, 100.0), tol=1e-20)
+    assert err.value.gap > 0.75e-20
+    assert err.value.target_index is None
 
 
 def test_batch_singleton_matches_single():
@@ -168,8 +175,9 @@ def test_batch_order_and_failure_index():
         alone = solve_lasso(LassoProblem(a, xs[:, j], 30.0))
         assert abs(code.objective - alone.objective) <= 1e-9
     with pytest.raises(NoConvergence) as err:
-        solve_lasso_batch(a, xs, 30.0, max_iter=0)
-    assert err.value.target_index is not None
+        solve_lasso_batch(a, xs, 30.0, tol=1e-20)
+    assert err.value.target_index in range(4)
+    assert err.value.gap > 0.75e-20
 
 
 def test_two_subspace_codes_are_subspace_preserving():
@@ -189,10 +197,10 @@ def test_two_subspace_codes_are_subspace_preserving():
 def test_full_step_that_crosses_zero_is_not_stationary():
     # the finisher's full step here changes a sign; taken as the optimum of
     # the pattern it was solved for, it returned a point whose KKT violation
-    # is 2/lam, and the solve needed 4 sweeps instead of 1
+    # is 2/lam
     X = synth_union_of_subspaces(SubspaceSpec(12, (4, 4, 4), (20, 20, 20), 0.0, 2)).points
     a, x, lam = X[:, [50, 58, 5]], X[:, 29], 1e4
-    code = solve_lasso(LassoProblem(a, x, lam), max_iter=1)
+    code = solve_lasso(LassoProblem(a, x, lam))
     assert kkt_violation(a, x, lam, code) <= 1e-8
     assert duality_gap(a, x, lam, code) <= 1e-8
     # the 4-sweep solution of the solver that took the crossing as stationary
@@ -238,10 +246,45 @@ def test_batch_rejects_non_finite():
         solve_lasso_batch(x, np.eye(2), 10.0)
 
 
-def test_cd_core_stops_at_the_first_non_finite_gap():
+def test_cd_core_does_not_solve_a_non_finite_target():
     G = np.eye(2)
     H = np.array([[0.5, np.nan], [0.5, 0.0]])
-    _, gap, _, sweeps, done = _cd_core(G, H, np.array([1.0, 1.0]), 10.0, 1e-8, 100_000)
-    assert sweeps == 0
+    _, gap, kkt, _, done = _cd_core(G, H, np.array([1.0, 1.0]), 10.0, 1e-8)
     assert np.isnan(gap[1])
     assert not done[1]
+    # the finite target of the same batch is solved and certified
+    assert done[0] and gap[0] <= 1e-8 and kkt[0] <= 1e-8
+
+
+def test_unreachable_tolerance_fails_at_once():
+    rng = np.random.default_rng(1)
+    a = _unit_columns(rng, 6, 6)
+    x = _unit_columns(rng, 6, 3)
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence):
+        solve_lasso(LassoProblem(a, x[:, 0], 100.0), tol=1e-20)
+    with pytest.raises(NoConvergence):
+        solve_lasso_batch(a, x, 100.0, tol=1e-20)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("lam, tol", [(np.inf, 1e-8), (np.nan, 1e-8), (1.0, 1e-8), (10.0, 0.0),
+                                      (10.0, -1.0), (10.0, np.nan), (10.0, np.inf)])
+@pytest.mark.parametrize("entry", ["solve_lasso", "solve_lasso_batch", "ffs_naive", "ffs_lazy",
+                                   "f_cost", "F_cost"])
+def test_bad_lam_and_tol_are_rejected_at_every_entry_point(entry, lam, tol):
+    from subspace_exemplars import F_cost, f_cost, ffs_lazy, ffs_naive
+
+    data = synth_union_of_subspaces(SubspaceSpec(6, (2, 2), (5, 5), 0.0, 0))
+    x = data.points[:, 0]
+    calls = {
+        "solve_lasso": lambda: solve_lasso(LassoProblem(data.points[:, 1:4], x, lam), tol=tol),
+        "solve_lasso_batch": lambda: solve_lasso_batch(data.points[:, 1:4], data.points, lam, tol),
+        "ffs_naive": lambda: ffs_naive(data, lam, 3, tol=tol),
+        "ffs_lazy": lambda: ffs_lazy(data, lam, 3, tol=tol),
+        "f_cost": lambda: f_cost(x, [1, 2], data, lam, tol),
+        "F_cost": lambda: F_cost([1, 2], data, lam, tol),
+    }
+    name = "lam" if not (np.isfinite(lam) and lam > 1) else "tol"
+    with pytest.raises(ValueError, match=name):
+        calls[entry]()
