@@ -66,7 +66,7 @@ class LabeledExemplars:
         """
         idx = [int(i) for i in indices]
         if isinstance(labels, Mapping):
-            class_of = {int(i): int(labels[i]) for i in idx}
+            class_of = {int(i): int(labels[i]) for i in idx if i in labels}
         else:
             if len(labels) != len(idx):
                 raise ValueError("labels must parallel indices")

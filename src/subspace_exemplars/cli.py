@@ -108,6 +108,18 @@ def _read_label_file(path):
     return np.asarray(vals, dtype=int)
 
 
+def _read_exemplar_labels(path) -> dict[int, int]:
+    """The JSON object {"index": class, ...}; classes must be integers."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f'{path}: exemplar labels must be a JSON object {{"index": class, ...}}')
+    for key, c in raw.items():
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise ValueError(f"{path}: class of exemplar {key} must be an integer, got {c!r}")
+    return {int(key): c for key, c in raw.items()}
+
+
 def _write_label_file(labels, path) -> None:
     with open(path, "w") as fh:
         for v in labels:
@@ -195,9 +207,7 @@ def _cmd_classify(args) -> int:
     data = _load_data(args)
     exemplar_set = _select(data, args)
     if args.exemplar_labels is not None:
-        with open(args.exemplar_labels) as fh:
-            raw = json.load(fh)
-        labels_map = {int(i): int(c) for i, c in raw.items()}
+        labels_map = _read_exemplar_labels(args.exemplar_labels)
         lab = LabeledExemplars.from_labels(list(exemplar_set.indices), labels_map)
     else:
         if data.labels is None:
@@ -234,6 +244,8 @@ def _cmd_oracle(args) -> int:
         sup_l1_cost_on_sphere,
     )
 
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     if args.check == "eq15":
         # Minkowski functional of conv(+-X0) must equal the exact L1 cost

@@ -352,6 +352,8 @@ def esc_pipeline(
     from the graph, attached afterwards to the cluster of the exemplar with
     the largest absolute inner product, and reported via a warning.
     """
+    if not 1 <= n_clusters <= data.count:
+        raise ValueError(f"n_clusters={n_clusters} must be in [1, N={data.count}]")
     rng = np.random.default_rng(seed)
     seed_sel = int(rng.integers(2**63))
     seed_spec = int(rng.integers(2**63))

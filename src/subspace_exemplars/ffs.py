@@ -8,7 +8,9 @@ Minoux 1978), keeping the last known cost of each point as an upper bound
 and rescanning points in decreasing bound order, in blocks of growing size
 per solver call, until the bound of the next point cannot beat the best
 exact value seen.  The two produce identical selections; the lazy variant
-simply performs far fewer cost evaluations.
+simply performs far fewer cost evaluations.  Every evaluation goes through
+the stateless evaluator of :mod:`subspace_exemplars.selfrep` and solves from
+zero, so a cost depends only on the point and the current selection.
 
 The first exemplar is a seeded uniform draw (overridable for reproducible
 worked examples); all later choices break ties toward the lowest point
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix
-from .lasso import DEFAULT_TOL, NoConvergence, _check_params, _solve_costs
-from .selfrep import cost_floor
+from .lasso import DEFAULT_TOL, _check_params
+from .selfrep import _CostEvaluator
 
 __all__ = ["METHODS", "SelectionStep", "ExemplarSet", "ffs_naive", "ffs_lazy", "select_random",
            "select"]
@@ -103,51 +105,6 @@ def _first_index(data: DataMatrix, lam: float, k: int, seed: int, tol: float,
     if not 0 <= first_index < data.count:
         raise ValueError("first_index out of range")
     return int(first_index)
-
-
-class _CostEvaluator:
-    """Shared solver state: data Gram matrix plus per-point warm starts.
-
-    Points equal up to sign have one cost: each such class is solved once,
-    at its lowest index, and a class with a selected member is at the cost
-    floor exactly.  So exact ties stay exact, whichever batch or warm start
-    a cost comes from.
-    """
-
-    def __init__(self, data: DataMatrix, lam: float, tol: float):
-        X = data.points
-        self.N = data.count
-        self.gram = X.T @ X
-        self.xnorm2 = np.ascontiguousarray(np.diag(self.gram)).copy()
-        self.lam, self.tol = lam, tol
-        self.floor = cost_floor(lam)
-        lead = X[np.argmax(X != 0.0, axis=0), np.arange(self.N)]
-        canon = (X * np.where(lead < 0.0, -1.0, 1.0)).T + 0.0  # + 0.0 turns -0.0 into 0.0
-        _, first, inverse = np.unique(canon, axis=0, return_index=True, return_inverse=True)
-        self.twin = first[inverse.ravel()]  # lowest index equal up to sign
-        # the selection only ever grows, appending columns at the end, so a
-        # warm start is the point's last code padded with zero rows
-        self.warm = np.zeros((0, self.N))
-
-    def costs(self, sel: list[int], targets: np.ndarray) -> np.ndarray:
-        """Costs of the target points over the selection, in one solver call."""
-        cls = self.twin[targets]
-        out = np.full(targets.size, self.floor)
-        free = ~np.isin(cls, self.twin[sel])
-        todo, back = np.unique(cls[free], return_inverse=True)
-        if todo.size:
-            if len(self.warm) < len(sel):
-                self.warm = np.vstack([self.warm, np.zeros((len(sel) - len(self.warm), self.N))])
-            G = self.gram[np.ix_(sel, sel)]
-            H = self.gram[np.ix_(sel, todo)]
-            try:
-                C, costs = _solve_costs(G, H, self.xnorm2[todo], self.lam, self.tol,
-                                        warm=self.warm[:, todo])
-            except NoConvergence as err:
-                raise NoConvergence(err.gap, int(todo[err.target_index])) from None
-            self.warm[:, todo] = C
-            out[free] = costs[back]
-        return out
 
 
 def ffs_naive(

@@ -4,17 +4,17 @@ Solves, for a unit-norm target x and a dictionary A of unit-norm columns,
 
     min_c  ||c||_1 + (lam / 2) * ||x - A c||_2^2,       lam > 1,
 
-for many targets at once.  A start (a warm code, else zero) that meets the
-optimality certificates is kept; every other target follows the lasso
-homotopy from c = 0 down to the level 1/lam, all targets in lock-step rounds
-of one batched solve.  The path has a bounded number of rounds and there is
-no iteration limit: a code that still misses the tolerance raises
-:class:`NoConvergence` at once.  Convergence is certified: the returned
-coefficients satisfy the subgradient optimality conditions within the
-requested tolerance and the duality gap at return is below it as well.
-Both can be recomputed from the returned code via :func:`kkt_violation` and
-:func:`duality_gap`.  Non-finite data, a lam that is not finite and > 1 and
-a tol that is not finite and > 0 are rejected with ``ValueError``.
+for many targets at once.  Every target follows the lasso homotopy from
+c = 0 down to the level 1/lam, all targets in lock-step rounds of one
+batched solve; the solver keeps no state between calls.  The path has a
+bounded number of rounds and there is no iteration limit: a code that still
+misses the tolerance raises :class:`NoConvergence` at once.  Convergence is
+certified: the returned coefficients satisfy the subgradient optimality
+conditions within the requested tolerance and the duality gap at return is
+below it as well.  Both can be recomputed from the returned code via
+:func:`kkt_violation` and :func:`duality_gap`.  Non-finite data, a lam that
+is not finite and > 1 and a tol that is not finite and > 0 are rejected
+with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -218,18 +218,18 @@ def _exact_solve(G, H, alpha):
     return c.T
 
 
-def _cd_core(G, H, xnorm2, lam, tol, warm=None):
+def _cd_core(G, H, xnorm2, lam, tol):
     """Certified codes for possibly many targets sharing one dictionary.
 
     G : (M, M) dictionary Gram; H : (M, T) dictionary-target inner products;
-    xnorm2 : (T,) squared target norms; warm : optional (M, T) start.
+    xnorm2 : (T,) squared target norms.
 
-    Three steps: certify the start (warm, else zero); solve every finite
-    target it leaves uncertified with one :func:`_exact_solve` call; certify
-    those again.  A target passes when its duality gap is below 3/4 and its
-    KKT violation below 1/2 of the tolerance (margin for the exact
-    recomputation done by callers); a non-finite one is not solved.  Returns
-    (C, gap, kkt, ran, done), ran being 1 when the homotopy ran, else 0.
+    Solves every finite target with one :func:`_exact_solve` call from zero
+    and certifies the codes once.  A target passes when its duality gap is
+    below 3/4 and its KKT violation below 1/2 of the tolerance (margin for
+    the exact recomputation done by callers); a non-finite one is not
+    solved.  Returns (C, gap, kkt, ran, done), ran being 1 when the homotopy
+    ran, else 0.
 
     The name, the leading arguments and the 5-tuple with an int at position
     3 stay because the benchmark hooks them: ``perfbench/layers.py`` counts
@@ -237,34 +237,25 @@ def _cd_core(G, H, xnorm2, lam, tol, warm=None):
     ``perfbench/test_smoke.py`` asserts that calls were counted.  The run
     report of ROADMAP item 4 retires the name.
     """
-    M, T = H.shape
-    C = np.zeros((M, T)) if warm is None else np.array(warm, dtype=float)
-    if C.shape != (M, T):
-        raise ValueError("warm start has wrong shape")
-
-    def certify(cols):
-        c, h = C[:, cols], H[:, cols]
-        gc = G @ c
-        e2 = np.maximum(xnorm2[cols] - 2.0 * (c * h).sum(axis=0) + (c * gc).sum(axis=0), 0.0)
-        kkt, gap = _certificates(h - gc, c, e2, lam)
-        # float noise on the gap grows with lam
-        return kkt, gap, (gap <= 0.75 * tol) & (kkt <= 0.5 * tol)
-
-    kkt, gap, done = certify(np.arange(T))
-    redo = np.flatnonzero(~done & np.isfinite(gap))
-    if redo.size:
-        C[:, redo] = _exact_solve(G, H[:, redo], 1.0 / lam)
-        kkt[redo], gap[redo], done[redo] = certify(redo)
-    return C, gap, kkt, int(redo.size > 0), done
+    C = np.zeros(H.shape)
+    finite = np.isfinite(H).all(axis=0) & np.isfinite(xnorm2)
+    if finite.any():
+        C[:, finite] = _exact_solve(G, H[:, finite], 1.0 / lam)
+    GC = G @ C
+    e2 = np.maximum(xnorm2 - 2.0 * (C * H).sum(axis=0) + (C * GC).sum(axis=0), 0.0)
+    kkt, gap = _certificates(H - GC, C, e2, lam)
+    # float noise on the gap grows with lam
+    done = (gap <= 0.75 * tol) & (kkt <= 0.5 * tol)
+    return C, gap, kkt, int(finite.any()), done
 
 
-def _solve_costs(G, H, xnorm2, lam, tol, warm=None):
+def _solve_costs(G, H, xnorm2, lam, tol):
     """Certified codes (M, T) and objectives (T,) from the Gram quantities.
 
     The one cost path of the package; a NoConvergence failure carries the
     position of the first uncertified target.
     """
-    C, gap, _, _, done = _cd_core(G, H, xnorm2, lam, tol, warm)
+    C, gap, _, _, done = _cd_core(G, H, xnorm2, lam, tol)
     if not done.all():
         bad = int(np.flatnonzero(~done)[0])
         raise NoConvergence(float(gap[bad]), target_index=bad)

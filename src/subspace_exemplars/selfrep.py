@@ -4,7 +4,8 @@
 of :mod:`subspace_exemplars.lasso` when x is coded over the columns indexed
 by S; ``F_cost`` is its worst case over the dataset.  Both are monotone
 non-increasing in S, bounded between 1 - 1/(2 lam) and lam/2, and the floor
-is attained exactly when the point (or its negation) belongs to S.
+is attained exactly when the point (or its negation) belongs to S.  Costs
+are solved from zero on every call; no solver state is kept between calls.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import DataMatrix
-from .lasso import DEFAULT_TOL, _check_params, _solve_costs
+from .lasso import DEFAULT_TOL, NoConvergence, _check_params, _solve_costs
 
 __all__ = ["CostReport", "TooFewPoints", "f_cost", "F_cost", "lambda_threshold", "cost_floor"]
 
@@ -43,12 +44,44 @@ def _indices(exemplars: Sequence[int]) -> list[int]:
     return [int(i) for i in exemplars]
 
 
-def _batch_costs(data: DataMatrix, sel: list[int], targets: np.ndarray | None,
-                 lam: float, tol: float) -> np.ndarray:
-    """Objective values of all targets (default: every point) over columns sel."""
-    X = data.points if targets is None else targets
-    A = data.points[:, sel]
-    return _solve_costs(A.T @ A, A.T @ X, (X * X).sum(axis=0), lam, tol)[1]
+class _CostEvaluator:
+    """Costs of data points over a selection, shared by F_cost and FFS.
+
+    Points equal up to sign have one cost: each such class is solved once,
+    at its lowest index, and a class with a selected member is at the cost
+    floor exactly.  So exact ties stay exact, whichever batch a cost comes
+    from.  Holds only the classes and squared norms, no Gram and no codes.
+    """
+
+    def __init__(self, data: DataMatrix, lam: float, tol: float):
+        X = self.points = data.points
+        self.N = data.count
+        # ||x||^2 rounded as a BLAS product, like G and H (a plain sum of squares
+        # moves 6 of criterion 6's 50 selections); 256 columns at a time
+        blocks = np.array_split(np.arange(self.N), -(-self.N // 256))
+        self.xnorm2 = np.concatenate([np.diag(X[:, b].T @ X[:, b]) for b in blocks])
+        self.lam, self.tol = lam, tol
+        self.floor = cost_floor(lam)
+        lead = X[np.argmax(X != 0.0, axis=0), np.arange(self.N)]
+        canon = (X * np.where(lead < 0.0, -1.0, 1.0)).T + 0.0  # + 0.0 turns -0.0 into 0.0
+        _, first, inverse = np.unique(canon, axis=0, return_index=True, return_inverse=True)
+        self.twin = first[inverse.ravel()]  # lowest index equal up to sign
+
+    def costs(self, sel: list[int], targets: np.ndarray) -> np.ndarray:
+        """Costs of the target points over the selection, in one solver call."""
+        cls = self.twin[targets]
+        out = np.full(targets.size, self.floor)
+        free = ~np.isin(cls, self.twin[sel])
+        todo, back = np.unique(cls[free], return_inverse=True)
+        if todo.size:
+            A = self.points[:, sel]
+            try:
+                _, costs = _solve_costs(A.T @ A, A.T @ self.points[:, todo], self.xnorm2[todo],
+                                        self.lam, self.tol)
+            except NoConvergence as err:
+                raise NoConvergence(err.gap, int(todo[err.target_index])) from None
+            out[free] = costs[back]
+        return out
 
 
 def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
@@ -63,18 +96,22 @@ def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
     if not sel:
         return 0.5 * lam
     x = np.asarray(x, dtype=float).ravel()[:, None]
-    return float(_batch_costs(data, sel, x, lam, tol)[0])
+    A = data.points[:, sel]
+    return float(_solve_costs(A.T @ A, A.T @ x, (x * x).sum(axis=0), lam, tol)[1][0])
 
 
 def F_cost(exemplars: Sequence[int], data: DataMatrix, lam: float,
            tol: float = DEFAULT_TOL) -> CostReport:
-    """Worst-case cost over all data points; ties resolved to the lowest index."""
+    """Worst-case cost over all data points; ties resolved to the lowest index.
+
+    Every point equal up to sign to an exemplar is at the floor exactly.
+    """
     _check_params(lam, tol)
     sel = _indices(exemplars)
     if not sel:
         per = np.full(data.count, 0.5 * lam)
     else:
-        per = _batch_costs(data, sel, None, lam, tol)
+        per = _CostEvaluator(data, lam, tol).costs(sel, np.arange(data.count))
     arg = int(np.argmax(per))
     return CostReport(per_point=per, sup_value=float(per[arg]), argmax_index=arg)
 

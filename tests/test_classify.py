@@ -111,6 +111,11 @@ def test_missing_class_raises():
     assert err.value.class_id == 1
 
 
+def test_a_map_without_an_exemplar_is_rejected():
+    with pytest.raises(ValueError, match="no class given for exemplar index 2"):
+        LabeledExemplars.from_labels([0, 2], {0: 1, 1: 0})
+
+
 def test_labeled_exemplars_validation():
     with pytest.raises(ValueError):
         LabeledExemplars.from_labels([0, 0], [1, 1])

@@ -106,6 +106,41 @@ def test_classify_with_exemplar_label_file(dataset, tmp_path):
     assert (np.array(pred) == truth).mean() == 1.0
 
 
+@pytest.mark.parametrize("content, message", [
+    ("{}", "no class given for exemplar index"),
+    ("[0, 1]", "JSON object"),
+    ("LABELS", "must be an integer, got 1.7"),
+])
+def test_classify_rejects_a_bad_exemplar_label_file(dataset, tmp_path, capsys, content, message):
+    sel = tmp_path / "sel.json"
+    _run("select", "--data", dataset, "--with-labels", "--lambda", 1e4,
+         "--k", 4, "--seed", 0, "--out", sel)
+    indices = json.loads(sel.read_text())["indices"]
+    # every selected exemplar labelled, one of them with a non-integer class
+    labelled = json.dumps({str(i): 1.7 if i == indices[-1] else 0 for i in indices})
+    labfile = tmp_path / "exlab.json"
+    labfile.write_text(content.replace("LABELS", labelled))
+    labels = tmp_path / "pred.csv"
+    rc = _run("classify", "--data", dataset, "--with-labels", "--lambda", 1e4,
+              "--k", 4, "--seed", 0, "--exemplar-labels", labfile,
+              "--labels-out", labels, "--metrics-out", tmp_path / "m.json")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not labels.exists()
+
+
+def test_cluster_rejects_a_non_positive_cluster_count(dataset, tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    for count in (0, -1):
+        rc = _run("cluster", "--data", dataset, "--with-labels", "--k", 6,
+                  "--n-clusters", count, "--labels-out", labels,
+                  "--metrics-out", tmp_path / "m.json")
+        assert rc == 2
+        assert "n_clusters" in capsys.readouterr().err
+    assert not labels.exists()
+
+
 def test_eval_perfect_prediction(dataset, tmp_path):
     labels = tmp_path / "pred.csv"
     metrics = tmp_path / "m.json"
@@ -155,3 +190,13 @@ def test_oracle_chain(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["pass"] is True
     assert doc["max_deviation"] <= 2e-3
+
+
+@pytest.mark.parametrize("check", ["eq15", "chain"])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_oracle_rejects_a_non_positive_trial_count(tmp_path, capsys, check, trials):
+    out = tmp_path / "audit.json"
+    rc = _run("oracle", "--check", check, "--trials", trials, "--out", out)
+    assert rc == 2
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()

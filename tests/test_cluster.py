@@ -293,3 +293,17 @@ def test_pipeline_rejects_unknown_selection():
     data = synth_union_of_subspaces(spec)
     with pytest.raises(ValueError):
         esc_pipeline(data, 10.0, 2, 3, 1, selection="kmedoids")
+
+
+@pytest.mark.parametrize("n_clusters", [0, -1, 9])
+def test_pipeline_rejects_a_bad_cluster_count_before_selection(monkeypatch, n_clusters):
+    from subspace_exemplars import cluster
+
+    data = synth_union_of_subspaces(SubspaceSpec(6, (2,), (8,), 0.0, 0))
+
+    def no_selection(*args, **kwargs):
+        raise AssertionError("selection ran")
+
+    monkeypatch.setattr(cluster, "select", no_selection)
+    with pytest.raises(ValueError, match="n_clusters"):
+        esc_pipeline(data, 10.0, 2, 3, n_clusters)

@@ -16,7 +16,7 @@ from subspace_exemplars import (
     subspace_preserving_rate,
     synth_union_of_subspaces,
 )
-from subspace_exemplars.lasso import _cd_core, _solve_costs
+from subspace_exemplars.lasso import _cd_core
 
 
 def _unit_columns(rng, d, m):
@@ -109,20 +109,6 @@ def test_tiny_coefficients_snapped():
     code = solve_lasso(LassoProblem(a, x, 20.0))
     nz = code.coeffs[code.coeffs != 0.0]
     assert np.all(np.abs(nz) >= 1e-12)
-
-
-def test_warm_start_reaches_same_solution():
-    rng = np.random.default_rng(5)
-    a = _unit_columns(rng, 7, 9)
-    x = _unit_columns(rng, 7, 1)
-    G, H, xnorm2 = a.T @ a, a.T @ x, (x * x).sum(axis=0)
-    cold, cold_obj = _solve_costs(G, H, xnorm2, 60.0, 1e-8)
-    # a certified warm code comes back unchanged
-    kept, _ = _solve_costs(G, H, xnorm2, 60.0, 1e-8, warm=cold)
-    assert np.array_equal(kept, cold)
-    # an uncertified one is solved again, to the cold objective
-    _, warm_obj = _solve_costs(G, H, xnorm2, 60.0, 1e-8, warm=cold + 0.01)
-    assert abs(cold_obj[0] - warm_obj[0]) <= 1e-9
 
 
 def test_problem_validation():

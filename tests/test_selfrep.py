@@ -155,3 +155,22 @@ def test_argmax_tie_break_lowest_index():
     report = F_cost([2], data, 20.0)
     assert report.per_point[0] == report.per_point[1]
     assert report.argmax_index == 0
+
+
+def test_members_and_their_negations_sit_exactly_on_the_floor():
+    # an antipodal copy and a duplicate are planted in every dataset
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        d, n = int(rng.integers(2, 7)), int(rng.integers(3, 12))
+        pts = rng.standard_normal((d, n))
+        perm = rng.permutation(n)
+        pts[:, perm[1]] = -pts[:, perm[0]]
+        pts[:, perm[2]] = pts[:, perm[3 % n]]
+        data = normalize_columns(DataMatrix(pts))
+        sel = list(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        X = data.points
+        on = [j for j in range(n)
+              if any(np.array_equal(X[:, j], s * X[:, i]) for i in sel for s in (1.0, -1.0))]
+        for lam in (2.0, 10.0, 100.0, 1e4):
+            per = F_cost(sel, data, lam).per_point
+            assert np.all(per[on] == cost_floor(lam)), (seed, lam)
