@@ -354,6 +354,8 @@ def esc_pipeline(
     """
     if not 1 <= n_clusters <= data.count:
         raise ValueError(f"n_clusters={n_clusters} must be in [1, N={data.count}]")
+    if t < 1:
+        raise ValueError(f"t={t} must be >= 1")
     rng = np.random.default_rng(seed)
     seed_sel = int(rng.integers(2**63))
     seed_spec = int(rng.integers(2**63))

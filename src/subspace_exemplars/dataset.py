@@ -7,6 +7,7 @@ Euclidean norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,8 +132,8 @@ class SubspaceSpec:
             raise ValueError("subspace dimensions cannot exceed ambient_dim")
         if any(c < d for c, d in zip(counts, dims)):
             raise ValueError("every subspace needs at least as many samples as its dimension")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.coefficients not in ("sphere", "nonneg"):
             raise ValueError("coefficients must be 'sphere' or 'nonneg'")
 

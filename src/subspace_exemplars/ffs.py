@@ -4,10 +4,11 @@ Both selectors grow an exemplar set one point at a time, always adding the
 currently worst-represented point (largest self-representation cost).
 ``ffs_naive`` reevaluates every point at every iteration; ``ffs_lazy``
 exploits the monotonicity of the cost in the exemplar set (lazy greedy,
-Minoux 1978), keeping the last known cost of each point as an upper bound
-and rescanning points in decreasing bound order, in blocks of growing size
-per solver call, until the bound of the next point cannot beat the best
-exact value seen.  The two produce identical selections; the lazy variant
+Minoux 1978), keeping the last known cost of each point as an upper bound.
+Each step bounds every candidate's cost from below by a feasible point of
+the lasso dual (gap-safe screening, Fercoq, Gramfort & Salmon 2015) and
+solves, in one solver call, only the points whose upper bound reaches the
+best lower bound.  The two produce identical selections; the lazy variant
 simply performs far fewer cost evaluations.  Every evaluation goes through
 the stateless evaluator of :mod:`subspace_exemplars.selfrep` and solves from
 zero, so a cost depends only on the point and the current selection.
@@ -145,13 +146,13 @@ def ffs_lazy(
     """Bound-pruned selector; selects exactly the same indices as ffs_naive.
 
     Stale costs are valid upper bounds because the cost is non-increasing as
-    the selection grows.  A step scans points in decreasing bound order
-    (lower index first on ties) and stops once the best refreshed cost, with
-    the lower index winning ties, beats the next point's stale bound.  It
-    solves blocks of 1, 2, 4, ... points per call, each checked in order
-    against the bounds from before it, so it stops and picks exactly as a
-    one-point scan would.  The block overshoot past the stop point keeps its
-    refreshed costs as tighter bounds and counts in the step's ``evals``.
+    the selection grows, and a feasible point of the lasso dual gives each
+    candidate a lower bound without a solve.  The winner costs at least the
+    largest lower bound, so a step solves, in one call, only the candidates
+    whose stale bound reaches it less a margin of twice ``tol`` (the
+    certified gap plus rounding); every other point costs less than the
+    winner.  It picks the largest solved cost, lowest index on ties.  The
+    solved costs are kept as tighter bounds and counted in ``evals``.
     """
     j0 = _first_index(data, lam, k, seed, tol, first_index)
     ev = _CostEvaluator(data, lam, tol)
@@ -163,24 +164,13 @@ def ffs_lazy(
     # a point above its class's lowest index loses the tie to it until the floor
     lowest = ev.twin == np.arange(ev.N)
     for _ in range(k - 1):
-        order = np.lexsort((np.arange(ev.N), -bounds))
-        scan = order[((lowest | np.isin(ev.twin, ev.twin[selected])) & ~in_set)[order]]
-        stale = bounds[scan]
-        best, pick, evals = -np.inf, -1, 0
-        start, size, stop = 0, 1, False
-        while not stop:
-            block = scan[start:start + size]
-            costs = ev.costs(selected, block)
-            bounds[block] = costs
-            evals += block.size
-            for nxt, j, cost in zip(range(start + 1, scan.size + 1), block, costs):
-                if (cost, -j) > (best, -pick):
-                    best, pick = cost, int(j)
-                if nxt == scan.size or (best, -pick) >= (stale[nxt], -scan[nxt]):
-                    stop = True
-                    break
-            start, size = start + size, 2 * size
-        trace.append(SelectionStep(pick, float(best), evals))
+        scan = np.flatnonzero((lowest | np.isin(ev.twin, ev.twin[selected])) & ~in_set)
+        top = ev.lower_bounds(selected, scan).max()
+        todo = scan[bounds[scan] >= top - 2.0 * tol]
+        costs = ev.costs(selected, todo)
+        bounds[todo] = costs
+        pick = int(todo[np.argmax(costs)])  # todo ascends: lowest index on ties
+        trace.append(SelectionStep(pick, float(costs.max()), todo.size))
         selected.append(pick)
         in_set[pick] = True
         bounds[ev.twin == ev.twin[pick]] = ev.floor

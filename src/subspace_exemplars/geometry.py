@@ -144,10 +144,14 @@ def minkowski_functional(hull: SymmetricHull, x: np.ndarray) -> float:
     return float(res.fun)
 
 
+def _check_resolution(resolution: float) -> None:
+    """Reject a grid resolution that is not finite and > 0."""
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"grid_resolution must be finite and > 0, got {resolution}")
+
+
 def _sphere_grid(dim: int, resolution: float) -> np.ndarray:
     """Deterministic (D, G) grid of unit directions at the given angular step."""
-    if resolution <= 0:
-        raise ValueError("grid_resolution must be positive")
     if dim == 2:
         theta = np.arange(0.0, 2.0 * math.pi, resolution)
         return np.vstack([np.cos(theta), np.sin(theta)])
@@ -166,6 +170,7 @@ def covering_radius(points_on_sphere: np.ndarray, grid_resolution: float) -> flo
     Evaluated on a deterministic grid, so the result is accurate to
     O(grid_resolution) and never exceeds the true radius.
     """
+    _check_resolution(grid_resolution)
     v = np.asarray(points_on_sphere, dtype=float)
     if v.ndim != 2 or v.shape[1] == 0:
         raise ValueError("points_on_sphere must be a (D, m) array")
@@ -198,6 +203,7 @@ def _coarse_to_fine_angles(resolution: float, objective, maximize: bool) -> floa
 
 def sup_gauge_on_sphere(hull: SymmetricHull, grid_resolution: float) -> float:
     """Supremum of the Minkowski functional over the unit circle (D = 2)."""
+    _check_resolution(grid_resolution)
     if hull.dim != 2:
         raise UnsupportedDim("sup over the sphere is implemented for D = 2")
     return _coarse_to_fine_angles(
@@ -213,6 +219,7 @@ def sup_l1_cost_on_sphere(points: np.ndarray, grid_resolution: float) -> float:
     The grid-sup counterpart of the worst-case cost at lam = infinity,
     computed through the equality-constrained LP route (D = 2).
     """
+    _check_resolution(grid_resolution)
     a = np.asarray(points, dtype=float)
     if a.shape[0] != 2:
         raise UnsupportedDim("sup over the sphere is implemented for D = 2")
@@ -230,6 +237,7 @@ def inradius(hull: SymmetricHull, grid_resolution: float) -> float:
     Computed as the minimum over grid directions u of 1 / gauge(u); by
     symmetry of the hull the search runs over half the sphere.
     """
+    _check_resolution(grid_resolution)
     g = hull.generators
     if np.linalg.matrix_rank(g, tol=1e-10) < hull.dim:
         raise DegenerateHull("hull does not span the ambient space")

@@ -83,6 +83,31 @@ class _CostEvaluator:
             out[free] = costs[back]
         return out
 
+    def lower_bounds(self, sel: list[int], targets: np.ndarray) -> np.ndarray:
+        """Lower bounds on the target costs from one feasible point of the lasso dual.
+
+        The dual of the cost is max nu^T x - ||nu||^2 / (2 lam) subject to
+        |a_i^T nu| <= 1 for every selected column.  The point
+        nu = t x + (lam - t) r, with r = x - Q Q^T x off a reduced QR of the
+        selected columns (so A^T r = 0 even when A is rank-deficient) and
+        t = min(lam, 1 / max_i |a_i^T x|), is feasible, and its value
+
+            t ||x||^2 - t^2 ||x||^2 / (2 lam) + ||r||^2 (lam - t)^2 / (2 lam)
+
+        bounds the cost from below (the dual point of gap-safe screening,
+        Fercoq, Gramfort & Salmon 2015).  A class with a selected member
+        gets the floor exactly.  No solver call.
+        """
+        A, X = self.points[:, sel], self.points[:, targets]
+        q, _ = np.linalg.qr(A)
+        r = X - q @ (q.T @ X)
+        x2, r2, lam = self.xnorm2[targets], (r * r).sum(axis=0), self.lam
+        with np.errstate(divide="ignore"):
+            t = np.minimum(lam, 1.0 / np.abs(A.T @ X).max(axis=0))
+        out = t * x2 - 0.5 * t * t * x2 / lam + 0.5 * r2 * (lam - t) ** 2 / lam
+        out[np.isin(self.twin[targets], self.twin[sel])] = self.floor
+        return out
+
 
 def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
            tol: float = DEFAULT_TOL) -> float:

@@ -27,6 +27,17 @@ def test_synth_rejects_bad_counts(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+def test_synth_rejects_a_bad_noise_level(tmp_path, capsys, sigma):
+    out = tmp_path / "x.csv"
+    rc = _run("synth", "--D", 5, "--dims", "3", "--counts", "10", "--sigma", sigma,
+              "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "noise_sigma" in err
+    assert not out.exists()
+
+
 def test_synth_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     _run("synth", "--D", 4, "--dims", "2,2", "--counts", "6,6", "--seed", 3, "--out", a)
@@ -52,6 +63,17 @@ def test_select_json_schema(dataset, tmp_path):
     assert len(doc["indices"]) == 5
     assert doc["lambda"] == 50.0
     assert all(set(step) == {"selected", "f_value", "evals"} for step in doc["trace"])
+
+
+def test_select_json_is_byte_identical_across_runs(dataset, tmp_path):
+    out = tmp_path / "sel.json"
+    runs = []
+    for _ in range(2):
+        rc = _run("select", "--data", dataset, "--with-labels", "--lambda", 50,
+                  "--k", 6, "--seed", 2, "--out", out)
+        assert rc == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_cluster_outputs_and_determinism(dataset, tmp_path):
@@ -199,4 +221,15 @@ def test_oracle_rejects_a_non_positive_trial_count(tmp_path, capsys, check, tria
     rc = _run("oracle", "--check", check, "--trials", trials, "--out", out)
     assert rc == 2
     assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resolution", ["-0.01", "0", "nan"])
+def test_oracle_rejects_a_bad_resolution(tmp_path, capsys, resolution):
+    out = tmp_path / "audit.json"
+    rc = _run("oracle", "--check", "chain", "--trials", 1, "--resolution", resolution,
+              "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "resolution" in err
     assert not out.exists()

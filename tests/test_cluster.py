@@ -307,3 +307,17 @@ def test_pipeline_rejects_a_bad_cluster_count_before_selection(monkeypatch, n_cl
     monkeypatch.setattr(cluster, "select", no_selection)
     with pytest.raises(ValueError, match="n_clusters"):
         esc_pipeline(data, 10.0, 2, 3, n_clusters)
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_pipeline_rejects_a_bad_neighbour_count_before_selection(monkeypatch, t):
+    from subspace_exemplars import cluster
+
+    data = synth_union_of_subspaces(SubspaceSpec(6, (2,), (8,), 0.0, 0))
+
+    def no_selection(*args, **kwargs):
+        raise AssertionError("selection ran")
+
+    monkeypatch.setattr(cluster, "select", no_selection)
+    with pytest.raises(ValueError, match="t="):
+        esc_pipeline(data, 10.0, 2, t, 1)

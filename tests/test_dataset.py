@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -172,8 +174,9 @@ def test_synth_validation():
         SubspaceSpec(5, (0,), (3,))
     with pytest.raises(ValueError):
         SubspaceSpec(5, (3, 3), (4,))
-    with pytest.raises(ValueError):
-        SubspaceSpec(5, (3,), (4,), noise_sigma=-1.0)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SubspaceSpec(5, (3,), (4,), noise_sigma=sigma)
     with pytest.raises(ValueError):
         SubspaceSpec(5, (3,), (4,), coefficients="bogus")
 

@@ -154,3 +154,18 @@ def test_lazy_equals_naive_with_exact_ties(seed, d, n_base, copies, lam, draw):
     naive = ffs_naive(data, lam, k, seed=seed)
     lazy = ffs_lazy(data, lam, k, seed=seed)
     assert lazy.indices == naive.indices
+
+
+def test_lazy_makes_one_solver_call_per_step(monkeypatch):
+    from subspace_exemplars import selfrep
+
+    calls = []
+    solve_costs = selfrep._solve_costs
+
+    def counted(*args):
+        calls.append(1)
+        return solve_costs(*args)
+
+    monkeypatch.setattr(selfrep, "_solve_costs", counted)
+    ffs_lazy(_random_data(16, 6, 70), 100.0, 9, seed=3)
+    assert len(calls) == 9  # the initial evaluation and one call per step

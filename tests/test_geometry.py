@@ -161,3 +161,12 @@ def test_sup_gauge_matches_sup_l1():
     a = sup_gauge_on_sphere(hull, 1e-3)
     b = sup_l1_cost_on_sphere(pts, 1e-3)
     assert abs(a - b) <= 1e-6
+
+
+@pytest.mark.parametrize("resolution", [-0.01, 0.0, math.nan, math.inf])
+def test_grid_searches_reject_a_bad_resolution(resolution):
+    square = SymmetricHull.from_points(np.eye(2))
+    for search, arg in ((covering_radius, np.eye(2)), (sup_gauge_on_sphere, square),
+                        (sup_l1_cost_on_sphere, np.eye(2)), (inradius, square)):
+        with pytest.raises(ValueError, match=f"got {resolution}"):
+            search(arg, resolution)

@@ -14,6 +14,7 @@ from subspace_exemplars import (
     lambda_threshold,
     normalize_columns,
 )
+from subspace_exemplars.selfrep import _CostEvaluator
 
 
 def _random_data(rng, d, n):
@@ -174,3 +175,24 @@ def test_members_and_their_negations_sit_exactly_on_the_floor():
         for lam in (2.0, 10.0, 100.0, 1e4):
             per = F_cost(sel, data, lam).per_point
             assert np.all(per[on] == cost_floor(lam)), (seed, lam)
+
+
+def test_dual_lower_bound_never_exceeds_the_cost():
+    # selections of k < d points from a lower-dimensional subspace, often
+    # with more points than its dimension or a point and its negation, so
+    # their columns are linearly dependent
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 9))
+        r = int(rng.integers(1, d))
+        low = rng.standard_normal((d, r)) @ rng.standard_normal((r, d + 1))
+        pts = np.column_stack([low, -low[:, 0], low[:, 1],
+                               rng.standard_normal((d, int(rng.integers(2, 2 * d))))])
+        data = normalize_columns(DataMatrix(pts))
+        sel = [int(i) for i in rng.choice(d + 3, size=int(rng.integers(1, d)), replace=False)]
+        everyone = np.arange(data.count)
+        for lam in (1.5, 2.0, 10.0, 100.0, 1e4):
+            ev = _CostEvaluator(data, lam, 1e-8)
+            lower, cost = ev.lower_bounds(sel, everyone), ev.costs(sel, everyone)
+            assert np.all(lower <= cost + 1e-13 * lam), (seed, lam)
+            assert np.all(lower[sel] == cost_floor(lam)), (seed, lam)
