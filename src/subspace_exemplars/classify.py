@@ -32,7 +32,7 @@ class NoExemplarsForClass(ValueError):
 class LabeledExemplars:
     """Exemplar indices with a class id for each.
 
-    class_of maps data index -> class id; classes is the sorted tuple of
+    class_of maps data index -> class id (>= 0); classes is the sorted tuple of
     distinct class ids present.
     """
 
@@ -48,6 +48,9 @@ class LabeledExemplars:
         missing = [i for i in idx if i not in class_of]
         if missing:
             raise ValueError(f"no class given for exemplar index {missing[0]}")
+        negative = [c for c in class_of.values() if c < 0]
+        if negative:
+            raise ValueError(f"class ids must be >= 0, got {negative[0]}")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "class_of", class_of)
         object.__setattr__(self, "classes", tuple(sorted({class_of[i] for i in idx})))

@@ -60,7 +60,7 @@ class DataMatrix:
     """Column-stacked data points with optional ground-truth labels.
 
     points : (D, N) finite float array, one sample per column.
-    labels : optional (N,) integer class ids.
+    labels : optional (N,) non-negative integer class ids.
 
     Instances are immutable (arrays are marked read-only) and safe to share
     across threads.
@@ -83,6 +83,8 @@ class DataMatrix:
                 raise ValueError(
                     f"labels must have length N={pts.shape[1]}, got shape {lab.shape}"
                 )
+            if lab.min() < 0:
+                raise ValueError(f"labels must be >= 0, got {int(lab.min())}")
             lab.setflags(write=False)
             object.__setattr__(self, "labels", lab)
 

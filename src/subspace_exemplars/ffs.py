@@ -164,7 +164,7 @@ def ffs_lazy(
     # a point above its class's lowest index loses the tie to it until the floor
     lowest = ev.twin == np.arange(ev.N)
     for _ in range(k - 1):
-        scan = np.flatnonzero((lowest | np.isin(ev.twin, ev.twin[selected])) & ~in_set)
+        scan = np.flatnonzero((lowest | ev.taken(selected)[ev.twin]) & ~in_set)
         top = ev.lower_bounds(selected, scan).max()
         todo = scan[bounds[scan] >= top - 2.0 * tol]
         costs = ev.costs(selected, todo)

@@ -153,54 +153,60 @@ def _exact_solve(G, H, alpha):
 
     H : (M, T); returns the (M, T) coefficients.  Each target follows its
     piecewise-linear solution path as the level mu falls from max |h| to
-    alpha (Osborne, Presnell & Turlach, 2000; Efron et al., 2004): on the
-    active set S with signs s, c_S moves along d = G_SS^-1 s_S and each
-    inactive correlation h_j - (G c)_j at rate -a_j, a = G d, up to the
-    nearest join (it reaches +-mu), drop (an active c_i reaches zero) or
-    alpha.  Targets step in lock-step rounds of one stacked solve of their
-    identity-padded Gram blocks.  A column joins with sign +-1 only while
-    1 -+ a_j > _JOIN_EPS: a column that moves with the level (a copy of an
-    active one) would make its block singular, and one just dropped with
-    sign s_j has 1 - s_j a_j = -(Schur complement) * s_j d_j < 0, so it
-    cannot rejoin with that sign.  The path ends with one iteratively
-    refined solve of G_SS c_S = h_S - alpha s_S on the final support and
-    signs.  The caller certifies the result.
+    alpha (Osborne, Presnell & Turlach, 2000; Efron et al., 2004).  The first
+    join is seeded: the column attaining max |h| joins with the sign of h_j,
+    + before - on equal size, then the lowest index.  Then on the active set
+    S with signs s, c_S moves along d = G_SS^-1 s_S and each inactive
+    correlation h_j - (G c)_j at rate -a_j, a = G d, up to the nearest join
+    (it reaches +-mu), drop (an active c_i reaches zero) or alpha: the first
+    minimum of one (R, 3, M) array of join+, join- and drop steps, inf where
+    none.  The R live targets step in lock-step rounds of one stacked solve
+    of their identity-padded Gram blocks.  A column joins with sign +-1 only
+    while 1 -+ a_j > _JOIN_EPS: a column that moves with the level (a copy
+    of an active one) would make its block singular, and one just dropped
+    with sign s_j has 1 - s_j a_j = -(Schur complement) * s_j d_j < 0, so it
+    cannot rejoin with that sign.  The path ends with one iteratively refined
+    solve of G_SS c_S = h_S - alpha s_S on the final support and signs.  The
+    caller certifies the result.
     """
     M, T = H.shape
+    if not M:
+        return np.zeros((0, T))
     h = H.T
     c, s = np.zeros((T, M)), np.zeros((T, M))  # s: signs of the active set, 0 off it
     mu = np.abs(h).max(axis=1, initial=0.0)
-    live = mu > alpha
+    rows = np.flatnonzero(mu > alpha)
+    first = np.concatenate([h[rows], -h[rows]], axis=1).argmax(axis=1)
+    s[rows, first % M] = np.array([1.0, -1.0])[first // M]
     eye = np.eye(M)
 
     def blocks(rows):
         on = s[rows] != 0.0
         return np.where(on[:, :, None] & on[:, None, :], G, eye), on
 
-    for _ in range(8 * M + 64):
-        rows = np.flatnonzero(live)
+    # the seeded join is the first of at most 8 M + 64 rounds
+    for _ in range(8 * M + 63):
         if not rows.size:
             break
         gm, on = blocks(rows)
         d = np.linalg.solve(gm, s[rows][:, :, None])[:, :, 0]
-        a = d @ G
-        r = h[rows] - c[rows] @ G
-        m = mu[rows, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            join = [np.where(~on & (1.0 - sg * a > _JOIN_EPS),
-                             np.maximum(m - sg * r, 0.0) / (1.0 - sg * a), np.inf)
-                    for sg in (1.0, -1.0)]
-            drop = np.where(s[rows] * d < 0.0, -c[rows] / d, np.inf)
-        events = np.concatenate(join + [drop], axis=1)
+        a, r = d @ G, h[rows] - c[rows] @ G
+        m, left = mu[rows, None], mu[rows] - alpha
+        events = np.full((rows.size, 3, M), np.inf)
+        for i, sg in enumerate((1.0, -1.0)):
+            rate = 1.0 - sg * a
+            np.divide(np.maximum(m - sg * r, 0.0), rate, out=events[:, i],
+                      where=~on & (rate > _JOIN_EPS))
+        np.divide(-c[rows], d, out=events[:, 2], where=s[rows] * d < 0.0)
+        events = events.reshape(rows.size, 3 * M)
         k = events.argmin(axis=1)
-        step = np.minimum(events.min(axis=1), mu[rows] - alpha)
-        end = step == mu[rows] - alpha
+        step = np.minimum(events.min(axis=1), left)
+        go = step != left
         c[rows] += step[:, None] * d
         mu[rows] -= step
-        live[rows[end]] = False
-        ev, kind, j = rows[~end], k[~end] // M, k[~end] % M
-        c[ev[kind == 2], j[kind == 2]] = 0.0
-        s[ev, j] = np.array([1.0, -1.0, 0.0])[kind]
+        rows, kind, j = rows[go], k[go] // M, k[go] % M
+        c[rows[kind == 2], j[kind == 2]] = 0.0
+        s[rows, j] = np.array([1.0, -1.0, 0.0])[kind]
 
     # the exact solve on the final support and signs; iterative refinement,
     # since the restricted Gram can be ill-conditioned

@@ -64,6 +64,8 @@ def contingency_table(truth, pred) -> ContingencyTable:
     pred = _as_labels(pred)
     if truth.shape[0] != pred.shape[0]:
         raise LengthMismatch(f"lengths differ: {truth.shape[0]} vs {pred.shape[0]}")
+    if not truth.shape[0]:
+        raise ValueError("label vectors are empty")
     t_classes, t_idx = np.unique(truth, return_inverse=True)
     p_classes, p_idx = np.unique(pred, return_inverse=True)
     n = max(len(t_classes), len(p_classes))

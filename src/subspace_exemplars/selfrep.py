@@ -67,11 +67,15 @@ class _CostEvaluator:
         _, first, inverse = np.unique(canon, axis=0, return_index=True, return_inverse=True)
         self.twin = first[inverse.ravel()]  # lowest index equal up to sign
 
+    def taken(self, sel: list[int]) -> np.ndarray:
+        """Mask indexed by class (``twin``): True where the class has a selected member."""
+        return np.bincount(self.twin[sel], minlength=self.N) > 0
+
     def costs(self, sel: list[int], targets: np.ndarray) -> np.ndarray:
         """Costs of the target points over the selection, in one solver call."""
         cls = self.twin[targets]
         out = np.full(targets.size, self.floor)
-        free = ~np.isin(cls, self.twin[sel])
+        free = ~self.taken(sel)[cls]
         todo, back = np.unique(cls[free], return_inverse=True)
         if todo.size:
             A = self.points[:, sel]
@@ -105,7 +109,7 @@ class _CostEvaluator:
         with np.errstate(divide="ignore"):
             t = np.minimum(lam, 1.0 / np.abs(A.T @ X).max(axis=0))
         out = t * x2 - 0.5 * t * t * x2 / lam + 0.5 * r2 * (lam - t) ** 2 / lam
-        out[np.isin(self.twin[targets], self.twin[sel])] = self.floor
+        out[self.taken(sel)[self.twin[targets]]] = self.floor
         return out
 
 

@@ -116,6 +116,13 @@ def test_a_map_without_an_exemplar_is_rejected():
         LabeledExemplars.from_labels([0, 2], {0: 1, 1: 0})
 
 
+def test_a_negative_class_is_rejected():
+    with pytest.raises(ValueError, match="got -1"):
+        LabeledExemplars.from_labels([0, 2], [1, -1])
+    with pytest.raises(ValueError, match="got -3"):
+        LabeledExemplars((0,), {0: -3})
+
+
 def test_labeled_exemplars_validation():
     with pytest.raises(ValueError):
         LabeledExemplars.from_labels([0, 0], [1, 1])

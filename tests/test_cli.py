@@ -187,6 +187,57 @@ def test_eval_rejects_non_integer_labels(tmp_path, capsys):
     assert not (tmp_path / "eval.json").exists()
 
 
+def test_eval_rejects_empty_label_files(tmp_path, capsys):
+    truth, pred = tmp_path / "truth.csv", tmp_path / "pred.csv"
+    truth.write_text("")
+    pred.write_text("\n")
+    rc = _run("eval", "--truth", truth, "--pred", pred, "--out", tmp_path / "eval.json")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.fixture()
+def negative_label_data(dataset, tmp_path):
+    rows = dataset.read_text().splitlines()
+    rows[3] = rows[3].rsplit(",", 1)[0] + ",-1"
+    path = tmp_path / "negative.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("cluster", ["--t", 3, "--n-clusters", 2]),
+    ("classify", []),
+])
+def test_a_negative_label_in_the_data_is_rejected(negative_label_data, tmp_path, capsys,
+                                                   command, extra):
+    labels, metrics = tmp_path / "pred.csv", tmp_path / "m.json"
+    rc = _run(command, "--data", negative_label_data, "--with-labels", "--k", 4, *extra,
+              "--labels-out", labels, "--metrics-out", metrics)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "-1" in err
+    assert not labels.exists() and not metrics.exists()
+
+
+def test_classify_rejects_a_negative_exemplar_class(dataset, tmp_path, capsys):
+    sel = tmp_path / "sel.json"
+    _run("select", "--data", dataset, "--with-labels", "--lambda", 1e4,
+         "--k", 4, "--seed", 0, "--out", sel)
+    indices = json.loads(sel.read_text())["indices"]
+    labfile = tmp_path / "exlab.json"
+    labfile.write_text(json.dumps({str(i): -1 if i == indices[-1] else 0 for i in indices}))
+    labels, metrics = tmp_path / "pred.csv", tmp_path / "m.json"
+    rc = _run("classify", "--data", dataset, "--with-labels", "--lambda", 1e4,
+              "--k", 4, "--seed", 0, "--exemplar-labels", labfile,
+              "--labels-out", labels, "--metrics-out", metrics)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "-1" in err
+    assert not labels.exists() and not metrics.exists()
+
+
 def test_select_rejects_a_negative_tol(dataset, tmp_path, capsys):
     out = tmp_path / "sel.json"
     rc = _run("select", "--data", dataset, "--with-labels", "--k", 3, "--tol", -1, "--out", out)

@@ -58,6 +58,11 @@ def test_data_matrix_validation():
         DataMatrix(np.ones((2, 3)), labels=[1, 2])
 
 
+def test_data_matrix_rejects_a_negative_label():
+    with pytest.raises(ValueError, match="got -1"):
+        DataMatrix(np.ones((2, 3)), labels=[0, -1, 2])
+
+
 def test_data_matrix_rejects_non_finite():
     for bad in (np.nan, np.inf, -np.inf):
         pts = np.ones((2, 3))

@@ -217,6 +217,28 @@ def test_repeated_columns_with_random_signs_are_certified():
             assert duality_gap(a, x[:, j], lam, fresh) <= 1e-8
 
 
+def test_a_one_column_path_takes_one_round(monkeypatch):
+    # the first join is seeded, so the only round is the step down to 1/lam
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    x = np.array([[0.6, -0.8], [0.8, 0.6]])
+    codes = solve_lasso_batch(np.array([[1.0], [0.0]]), x, 10.0)
+    assert len(calls) == 1
+    assert np.allclose(codes.coeffs, [[0.5, -0.7]], rtol=0, atol=1e-12)
+
+
+def test_the_first_join_prefers_a_positive_correlation_then_the_lower_index():
+    # |h| ties between a column and its negation: the path is not unique, and
+    # the column with the positive correlation takes the code
+    a = np.array([1.0, 0.0, 0.0])
+    b = np.array([0.0, 0.0, 1.0])
+    x = np.array([[0.6, -0.6], [0.8, 0.8], [0.0, 0.0]])
+    codes = solve_lasso_batch(np.column_stack([a, -a, b]), x, 100.0)
+    assert np.allclose(codes.coeffs, [[0.59, 0.0], [0.0, 0.59], [0.0, 0.0]], rtol=0, atol=1e-12)
+    assert np.count_nonzero(codes.coeffs) == 2
+
+
 def test_problem_rejects_non_finite():
     with pytest.raises(ValueError):
         LassoProblem(np.eye(2), np.array([np.nan, 1.0]), 10.0)

@@ -58,6 +58,12 @@ def test_accuracy_length_mismatch():
         clustering_accuracy([0, 1], [0, 1, 1])
 
 
+@pytest.mark.parametrize("score", [contingency_table, clustering_accuracy, clustering_fscore])
+def test_empty_label_vectors_are_rejected(score):
+    with pytest.raises(ValueError, match="empty"):
+        score([], [])
+
+
 def test_fscore_identity():
     truth = [0, 1, 1, 2]
     assert clustering_fscore(truth, truth) == 100.0
