@@ -108,15 +108,26 @@ def _read_label_file(path):
     return np.asarray(vals, dtype=int)
 
 
-def _read_exemplar_labels(path) -> dict[int, int]:
-    """The JSON object {"index": class, ...}; classes must be integers."""
-    with open(path) as fh:
-        raw = json.load(fh)
+def _read_exemplar_labels(path, n: int) -> dict[int, int]:
+    """The JSON object {"index": class, ...} of a dataset of n points.
+
+    Every index must be an integer in [0, n) without leading zeros and every
+    class an integer >= 0, selected or not; errors name the file.
+    """
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f'{path}: exemplar labels must be a JSON object {{"index": class, ...}}')
     for key, c in raw.items():
+        if not (key.isascii() and key.isdigit() and key == str(int(key)) and int(key) < n):
+            raise ValueError(f"{path}: exemplar index {key!r} must be an integer in [0, {n}), no leading zeros")
         if isinstance(c, bool) or not isinstance(c, int):
             raise ValueError(f"{path}: class of exemplar {key} must be an integer, got {c!r}")
+        if c < 0:
+            raise ValueError(f"{path}: class of exemplar {key} must be >= 0, got {c}")
     return {int(key): c for key, c in raw.items()}
 
 
@@ -205,15 +216,14 @@ def _cmd_classify(args) -> int:
     from .classify import LabeledExemplars, src_classify
 
     data = _load_data(args)
-    exemplar_set = _select(data, args)
     if args.exemplar_labels is not None:
-        labels_map = _read_exemplar_labels(args.exemplar_labels)
-        lab = LabeledExemplars.from_labels(list(exemplar_set.indices), labels_map)
+        labels = _read_exemplar_labels(args.exemplar_labels, data.count)
+    elif data.labels is not None:
+        labels = dict(enumerate(data.labels.tolist()))
     else:
-        if data.labels is None:
-            print("error: no label column and no --exemplar-labels file", file=sys.stderr)
-            return 2
-        lab = LabeledExemplars.from_data(exemplar_set, data)
+        raise ValueError("no label column and no --exemplar-labels file")
+    exemplar_set = _select(data, args)
+    lab = LabeledExemplars.from_labels(list(exemplar_set.indices), labels)
     assignment = src_classify(data, lab, args.lam, args.tol)
     _write_label_file(assignment.labels, args.labels_out)
     report = _metrics_report(data.labels, assignment.labels, exemplar_set.indices)

@@ -1,11 +1,9 @@
 """Exemplar-based subspace clustering.
 
-Pipeline: select exemplars, code every point over them, normalize the
-coefficient vectors, connect each point to its t nearest neighbors among the
-normalized codes (positive inner product only), symmetrize, and spectrally
-cluster the resulting graph.  A graph with more components than clusters is
-grouped by subspace fit instead, and the final partition is refined by the
-spans of its groups.
+Pipeline: select exemplars, code every point over them, and connect each
+point to its t nearest neighbors among the normalized codes (positive inner
+product only).  The components of that graph, split spectrally only when
+there are too few, are refined by span and merged by subspace fit.
 """
 
 from __future__ import annotations
@@ -65,14 +63,13 @@ class EmptyGraph(ValueError):
 
 @dataclass(frozen=True)
 class AffinityGraph:
-    """Symmetrized t-NN graph A = W + W^T over normalized codes.
+    """Symmetrized t-NN graph A = W + W^T over normalized codes, W being
+    the directed graph from each code to its neighbors.
 
-    matrix    : (N, N) array with entries in {0, 1, 2} and zero diagonal.
-    neighbors : per-row neighbor indices of the directed graph W.
+    matrix : (N, N) array with entries in {0, 1, 2} and zero diagonal.
     """
 
     matrix: np.ndarray
-    neighbors: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ def build_knn_graph(codes: np.ndarray, t: int) -> AffinityGraph:
     rows = np.arange(n)[:, None]
     W = np.zeros((n, n), dtype=float)
     W[rows, top] = sims[rows, top] > 0.0
-    return AffinityGraph(W + W.T, tuple(np.flatnonzero(w) for w in W))
+    return AffinityGraph(W + W.T)
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -278,27 +275,21 @@ def _refine_by_span(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
 def _merge_components(
     points: np.ndarray, codes: np.ndarray, comp: np.ndarray, n_clusters: int
 ) -> np.ndarray:
-    """Group whole graph components into n_clusters by subspace fit.
+    """Refine the groups ``comp`` by span and merge them into n_clusters.
 
-    A graph with more components than clusters makes the spectral relaxation
-    degenerate (the null space of the Laplacian no longer determines a
-    grouping), so components are merged agglomeratively instead.  The codes
-    cannot decide the merge: on dependent subspaces they are not
-    subspace-preserving, and points of different classes share exemplars.
-    The geometry of the points can: components drawn from one subspace fit
-    into each other's spans.  First, points of a component that mixes
-    subspaces move into lower-dimensional components that hold them
-    (``_refine_by_span``).  Then the two groups with the best fit merge,
-    until n_clusters remain.  The fit of a pair is the largest relative
-    residual of one group's points against the numerical span of the other,
-    in whichever direction is smaller.  Fits within the span tolerance count
-    as exact; ties go to the strongest absolute inner product between the
+    Points of a group that mixes subspaces first move into lower-dimensional
+    groups that hold them (``_refine_by_span``).  While more than n_clusters
+    groups remain, the two that fit best merge: the codes cannot decide this
+    on dependent subspaces, but groups from one subspace fit each other's
+    spans.  The fit of a pair is the largest relative residual of one group's
+    points against the other's span, in the smaller direction; fits within
+    the span tolerance count as exact.  Ties (a group spanning the whole
+    space holds every point) go to the strongest |<u_i, u_j>| between the
     groups' normalized codes (columns of ``codes``), then to the lower ids.
-    Ties are common: a group that spans the whole space, as any large one
-    does on noisy data, holds every point exactly.
+    The result is refined again, a no-op when nothing merged.  Labels follow
+    the order of the surviving ids of ``comp``.
     """
     unit = codes / np.linalg.norm(codes, axis=0)
-    code_sims = np.abs(unit.T @ unit)
     groups = _refine_by_span(points, comp)
     while True:
         ids, _, res = _span_residuals(points, groups)
@@ -309,12 +300,13 @@ def _merge_components(
         for a in range(1, ids.size):
             for b in range(a):
                 fit = min(res[b, members[a]].max(), res[a, members[b]].max())
-                link = float(code_sims[np.ix_(members[a], members[b])].max())
+                link = float(np.abs(unit[:, members[a]].T @ unit[:, members[b]]).max())
                 key = (fit if fit > _SPAN_RTOL else 0.0, -link)
                 if best is None or key < best[0]:
                     best = (key, a, b)
         _, a, b = best
         groups[members[a]] = ids[b]
+    groups = _refine_by_span(points, groups)
     return np.unique(groups, return_inverse=True)[1]
 
 
@@ -337,16 +329,16 @@ def esc_pipeline(
     point.  ``selection`` is a method of ``ffs.select``: "ffs" (lazy
     search), "ffs-naive", or "random".
 
-    Graph stage: the t-NN graph of the floor-cleaned codes is split into
-    connected components.  With at most n_clusters components it is
-    clustered spectrally; with more, whole components are grouped by
-    subspace fit (``_merge_components``).  Either way the partition is then
-    refined by the spans of its groups: a point that lies in the span of a
-    lower-dimensional group than its own moves there
-    (``_refine_by_span``).  On dependent subspaces the codes are not
-    subspace-preserving, so a few edges of the graph join classes; a group
-    that mixes classes spans more dimensions than a pure one, and the
-    refinement hands its points back to the pure groups that hold them.
+    Graph stage: the connected components of the t-NN graph of the
+    floor-cleaned codes are the starting groups; without isolated vertices,
+    n_clusters of them span the Laplacian's null space, so no eigensolve is
+    needed.  ``spectral_cluster`` runs only to split: with fewer components
+    than clusters, or as many with an isolated vertex among them (its unit
+    degree takes it out of the null space).  ``_merge_components`` then
+    refines by span, merges by subspace fit down to n_clusters and refines
+    again: on dependent subspaces a group joined across classes by a few
+    edges spans more dimensions than a pure one and hands its points back.
+    Cluster ids follow the starting groups' order (components: lowest vertex).
 
     Points whose code is zero (unrepresentable at this lambda) are excluded
     from the graph, attached afterwards to the cluster of the exemplar with
@@ -378,13 +370,11 @@ def esc_pipeline(
         )
     C = threshold_codes(codes.coeffs[:, keep])
     graph = build_knn_graph(C, t)
-    comp = _connected_components(graph.matrix > 0)
-    Xk = data.points[:, keep]
-    if comp.max() + 1 > n_clusters:
-        kept_labels = _merge_components(Xk, C, comp, n_clusters)
-    else:
-        kept_labels = spectral_cluster(graph, n_clusters, seed_spec).labels
-    kept_labels = _refine_by_span(Xk, kept_labels)
+    groups = _connected_components(graph.matrix > 0)
+    sizes = np.bincount(groups)
+    if sizes.size < n_clusters or (sizes.size == n_clusters and (sizes == 1).any()):
+        groups = spectral_cluster(graph, n_clusters, seed_spec).labels
+    kept_labels = _merge_components(data.points[:, keep], C, groups, n_clusters)
     labels[keep] = kept_labels
     if zero.any():
         # nearest exemplar by |<x_j, x_e>|; exemplar codes are never zero

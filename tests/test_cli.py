@@ -90,13 +90,18 @@ def test_cluster_outputs_and_determinism(dataset, tmp_path):
     assert doc["metrics"]["accuracy"] == 100.0
     assert 0.0 <= doc["metrics"]["imbalance"] <= 1.0
     assert doc["metrics"]["sp_rate"] >= 0.99
+    # cluster ids follow the graph components' order, lowest point first
+    assert lines == ["0"] * 15 + ["1"] * 25
 
-    labels2 = tmp_path / "labels2.csv"
-    metrics2 = tmp_path / "metrics2.json"
-    _run("cluster", "--data", dataset, "--with-labels", "--lambda", 100,
-         "--k", 6, "--t", 3, "--n-clusters", 2, "--seed", 0,
-         "--labels-out", labels2, "--metrics-out", metrics2)
-    assert labels.read_bytes() == labels2.read_bytes()
+    # same paths, because the metrics JSON records them in its config
+    first = labels.read_bytes(), metrics.read_bytes()
+    labels.unlink()
+    metrics.unlink()
+    rc = _run("cluster", "--data", dataset, "--with-labels", "--lambda", 100,
+              "--k", 6, "--t", 3, "--n-clusters", 2, "--seed", 0,
+              "--labels-out", labels, "--metrics-out", metrics)
+    assert rc == 0
+    assert (labels.read_bytes(), metrics.read_bytes()) == first
 
 
 def test_classify_from_label_column(dataset, tmp_path):
@@ -107,6 +112,20 @@ def test_classify_from_label_column(dataset, tmp_path):
     assert rc == 0
     doc = json.loads(metrics.read_text())
     assert doc["metrics"]["accuracy"] == 100.0
+
+
+def test_classify_outputs_are_byte_identical_across_runs(dataset, tmp_path):
+    labels = tmp_path / "pred.csv"
+    metrics = tmp_path / "m.json"
+    runs = []
+    for _ in range(2):
+        labels.unlink(missing_ok=True)
+        metrics.unlink(missing_ok=True)
+        rc = _run("classify", "--data", dataset, "--with-labels", "--lambda", 1e4,
+                  "--k", 4, "--seed", 0, "--labels-out", labels, "--metrics-out", metrics)
+        assert rc == 0
+        runs.append((labels.read_bytes(), metrics.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_classify_with_exemplar_label_file(dataset, tmp_path):
@@ -150,6 +169,56 @@ def test_classify_rejects_a_bad_exemplar_label_file(dataset, tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not labels.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("[0, 1]", "JSON object"),
+    ("{", "not JSON"),
+    ('{"x": 0}', "exemplar index 'x' must be an integer in [0, 40)"),
+    ('{"1.0": 0}', "exemplar index '1.0'"),
+    ('{"-1": 0}', "exemplar index '-1'"),
+    ('{"40": 0}', "exemplar index '40'"),
+    ('{"1": 0, "01": 1}', "exemplar index '01' must be an integer in [0, 40), no leading zeros"),
+    ('{"39": 1.7}', "must be an integer, got 1.7"),
+    ('{"39": true}', "must be an integer, got True"),
+    ('{"0": 0, "39": -1}', "must be >= 0, got -1"),
+])
+def test_classify_checks_the_exemplar_label_file_before_selection(
+        dataset, tmp_path, capsys, monkeypatch, content, message):
+    from subspace_exemplars import ffs
+
+    def no_selection(*args, **kwargs):
+        raise AssertionError("selection ran")
+
+    monkeypatch.setattr(ffs, "select", no_selection)
+    labfile = tmp_path / "exlab.json"
+    labfile.write_text(content)
+    labels, metrics = tmp_path / "pred.csv", tmp_path / "m.json"
+    rc = _run("classify", "--data", dataset, "--with-labels", "--k", 4,
+              "--exemplar-labels", labfile, "--labels-out", labels, "--metrics-out", metrics)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {labfile}:") and message in err
+    assert not labels.exists() and not metrics.exists()
+
+
+def test_classify_rejects_a_negative_class_on_an_unselected_index(dataset, tmp_path, capsys):
+    sel = tmp_path / "sel.json"
+    _run("select", "--data", dataset, "--with-labels", "--lambda", 1e4,
+         "--k", 4, "--seed", 0, "--out", sel)
+    indices = json.loads(sel.read_text())["indices"]
+    unselected = min(set(range(40)) - set(indices))
+    mapping = {str(i): 0 for i in indices}
+    mapping[str(unselected)] = -1
+    labfile = tmp_path / "exlab.json"
+    labfile.write_text(json.dumps(mapping))
+    labels, metrics = tmp_path / "pred.csv", tmp_path / "m.json"
+    rc = _run("classify", "--data", dataset, "--with-labels", "--lambda", 1e4,
+              "--k", 4, "--seed", 0, "--exemplar-labels", labfile,
+              "--labels-out", labels, "--metrics-out", metrics)
+    assert rc == 2
+    assert f"class of exemplar {unselected} must be >= 0, got -1" in capsys.readouterr().err
+    assert not labels.exists() and not metrics.exists()
 
 
 def test_cluster_rejects_a_non_positive_cluster_count(dataset, tmp_path, capsys):

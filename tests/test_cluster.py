@@ -56,8 +56,7 @@ def test_graph_invariants_and_zero_code():
     g = build_knn_graph(codes, 3)
     assert np.array_equal(g.matrix, g.matrix.T)
     assert set(np.unique(g.matrix)).issubset({0.0, 1.0, 2.0})
-    for row in g.neighbors:
-        assert row.size <= 3
+    assert g.matrix.sum() <= 2 * 3 * 20  # W has at most t = 3 edges per row
     bad = codes.copy()
     bad[:, 4] = 0.0
     with pytest.raises(ZeroCode) as err:
@@ -84,7 +83,6 @@ def _knn_reference(codes, t):
     sims = Ct.T @ Ct
     n = sims.shape[0]
     W = np.zeros((n, n))
-    neighbors = []
     idx = np.arange(n)
     for i in range(n):
         row = sims[i]
@@ -92,10 +90,9 @@ def _knn_reference(codes, t):
         order = order[order != i]
         keep = order[row[order] > 0.0][:t]
         W[i, keep] = 1.0
-        neighbors.append(np.array(sorted(keep), dtype=int))
     A = W + W.T
     np.fill_diagonal(A, 0.0)
-    return A, neighbors
+    return A
 
 
 def _bfs_components(adj):
@@ -129,11 +126,7 @@ def test_graph_and_components_match_references_with_exact_ties(base, picks, t):
     # small integer codes tie exactly, and repeated picks duplicate columns
     codes = np.array([base[p % len(base)] for p in picks], dtype=float).T
     graph = build_knn_graph(codes, t)
-    matrix, neighbors = _knn_reference(codes, t)
-    assert np.array_equal(graph.matrix, matrix)
-    assert len(graph.neighbors) == len(neighbors)
-    for got, want in zip(graph.neighbors, neighbors):
-        assert np.array_equal(got, want)
+    assert np.array_equal(graph.matrix, _knn_reference(codes, t))
     adj = graph.matrix > 0
     assert np.array_equal(_connected_components(adj), _bfs_components(adj))
 
@@ -161,7 +154,7 @@ def test_spectral_two_blocks():
     a[:3, :3] = 1.0
     a[3:, 3:] = 1.0
     np.fill_diagonal(a, 0.0)
-    g = AffinityGraph(a, tuple(np.flatnonzero(a[i]) for i in range(6)))
+    g = AffinityGraph(a)
     part = spectral_cluster(g, 2, seed=0)
     truth = [0, 0, 0, 1, 1, 1]
     assert clustering_accuracy(truth, part.labels) == 100.0
@@ -169,10 +162,10 @@ def test_spectral_two_blocks():
 
 def test_spectral_single_cluster_and_empty():
     a = np.ones((4, 4)) - np.eye(4)
-    g = AffinityGraph(a, tuple(np.flatnonzero(a[i]) for i in range(4)))
+    g = AffinityGraph(a)
     part = spectral_cluster(g, 1, seed=0)
     assert np.all(part.labels == 0)
-    empty = AffinityGraph(np.zeros((3, 3)), (np.array([]),) * 3)
+    empty = AffinityGraph(np.zeros((3, 3)))
     with pytest.raises(EmptyGraph):
         spectral_cluster(empty, 2, seed=0)
 
@@ -184,11 +177,11 @@ def test_spectral_permutation_equivariant():
     blocks[6:, 6:] = rng.uniform(0.5, 1.0, (6, 6))
     blocks = (blocks + blocks.T) / 2
     np.fill_diagonal(blocks, 0.0)
-    g = AffinityGraph(blocks, tuple(np.flatnonzero(blocks[i]) for i in range(12)))
+    g = AffinityGraph(blocks)
     base = spectral_cluster(g, 2, seed=1)
     perm = rng.permutation(12)
     permuted = blocks[np.ix_(perm, perm)]
-    gp = AffinityGraph(permuted, tuple(np.flatnonzero(permuted[i]) for i in range(12)))
+    gp = AffinityGraph(permuted)
     out = spectral_cluster(gp, 2, seed=1)
     assert clustering_accuracy(base.labels[perm], out.labels) == 100.0
 
@@ -223,6 +216,48 @@ def test_pipeline_keeps_a_graph_without_cross_class_edges():
     merged = _merge_components(data.points, cleaned, comp, 2)
     assert clustering_accuracy(data.labels, merged) == 100.0
     assert clustering_accuracy(data.labels, part.labels) == 100.0
+
+
+def test_just_enough_components_are_the_partition_without_an_eigensolve(monkeypatch):
+    # criterion 6's x=20, seed 2 dataset: the graph has two components and
+    # no isolated vertex, so they span the Laplacian's null space
+    from subspace_exemplars import cluster
+
+    spec = SubspaceSpec(5, (3, 3), (20, 80), 0.0, 2, coefficients="nonneg")
+    data = synth_union_of_subspaces(spec)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("spectral_cluster ran")
+
+    monkeypatch.setattr(cluster, "spectral_cluster", no_eigensolve)
+    part, _, codes = esc_pipeline(data, 30.0, 10, 3, 2, seed=2, return_details=True)
+    graph = build_knn_graph(threshold_codes(codes.coeffs), 3)
+    sizes = np.bincount(_connected_components(graph.matrix > 0))
+    assert sizes.size == 2 and sizes.min() > 1
+    assert clustering_accuracy(data.labels, part.labels) == 100.0
+
+
+def test_an_isolated_vertex_among_just_enough_components_is_split_spectrally(monkeypatch):
+    # the README's sphere data at pipeline seed 0: two components, one of
+    # them an isolated vertex; taking the components as the partition would
+    # leave a one-point cluster
+    from subspace_exemplars import cluster
+
+    data = synth_union_of_subspaces(SubspaceSpec(5, (3, 3), (10, 90), 0.0, 7))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return spectral_cluster(*args, **kwargs)
+
+    monkeypatch.setattr(cluster, "spectral_cluster", counted)
+    with pytest.warns(UserWarning, match="isolated"):
+        part, _, codes = esc_pipeline(data, 30.0, 10, 3, 2, seed=0, return_details=True)
+    graph = build_knn_graph(threshold_codes(codes.coeffs), 3)
+    sizes = np.bincount(_connected_components(graph.matrix > 0))
+    assert sizes.size == 2 and sizes.min() == 1
+    assert len(calls) == 1
+    assert np.bincount(part.labels, minlength=2).min() > 1
 
 
 def test_span_refinement_returns_points_to_the_pure_group():
