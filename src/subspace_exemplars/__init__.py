@@ -11,11 +11,9 @@ from .classify import LabeledExemplars, NoExemplarsForClass, src_classify
 from .cluster import (
     AffinityGraph,
     ClusterAssignment,
-    EmptyGraph,
     ZeroCode,
     build_knn_graph,
     esc_pipeline,
-    spectral_cluster,
     threshold_codes,
 )
 from .dataset import (
@@ -75,7 +73,6 @@ __all__ = [
     "CostReport",
     "DataMatrix",
     "DegenerateHull",
-    "EmptyGraph",
     "EmptySelection",
     "ExemplarSet",
     "F_cost",
@@ -119,7 +116,6 @@ __all__ = [
     "select_random",
     "solve_lasso",
     "solve_lasso_batch",
-    "spectral_cluster",
     "src_classify",
     "subspace_preserving_rate",
     "threshold_codes",

@@ -28,6 +28,12 @@ class NoExemplarsForClass(ValueError):
         super().__init__(f"class {class_id} has no exemplars")
 
 
+def _check_class_ids(classes) -> None:
+    negative = [c for c in classes if c < 0]
+    if negative:
+        raise ValueError(f"class ids must be >= 0, got {negative[0]}")
+
+
 @dataclass(frozen=True)
 class LabeledExemplars:
     """Exemplar indices with a class id for each.
@@ -48,9 +54,7 @@ class LabeledExemplars:
         missing = [i for i in idx if i not in class_of]
         if missing:
             raise ValueError(f"no class given for exemplar index {missing[0]}")
-        negative = [c for c in class_of.values() if c < 0]
-        if negative:
-            raise ValueError(f"class ids must be >= 0, got {negative[0]}")
+        _check_class_ids(class_of.values())
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "class_of", class_of)
         object.__setattr__(self, "classes", tuple(sorted({class_of[i] for i in idx})))
@@ -64,11 +68,13 @@ class LabeledExemplars:
     ) -> "LabeledExemplars":
         """Build from a map index->class or a label sequence parallel to indices.
 
-        When ``expected_classes`` is given, every expected class must own at
-        least one exemplar (NoExemplarsForClass otherwise).
+        A map may hold other indices too; a negative class anywhere in it is
+        rejected.  When ``expected_classes`` is given, every expected class
+        must own at least one exemplar (NoExemplarsForClass otherwise).
         """
         idx = [int(i) for i in indices]
         if isinstance(labels, Mapping):
+            _check_class_ids(int(c) for c in labels.values())
             class_of = {int(i): int(labels[i]) for i in idx if i in labels}
         else:
             if len(labels) != len(idx):

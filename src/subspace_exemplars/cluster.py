@@ -2,8 +2,9 @@
 
 Pipeline: select exemplars, code every point over them, and connect each
 point to its t nearest neighbors among the normalized codes (positive inner
-product only).  The components of that graph, split spectrally only when
-there are too few, are refined by span and merged by subspace fit.
+product only).  The components of that graph, bisected by normalized cut
+only when too few have two or more points, are refined by span and merged
+by subspace fit.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ __all__ = [
     "AffinityGraph",
     "ClusterAssignment",
     "ZeroCode",
-    "EmptyGraph",
     "build_knn_graph",
     "threshold_codes",
-    "spectral_cluster",
     "esc_pipeline",
 ]
 
@@ -39,12 +38,6 @@ _REL_COEFF_FLOOR = 1e-2
 # below this fraction of its norm
 _SPAN_RTOL = 1e-6
 
-# k-means: restarts (lowest inertia wins), Lloyd iterations per restart, and
-# the relative inertia decrease below which Lloyd stops
-_KMEANS_RESTARTS = 10
-_LLOYD_MAX_ITER = 300
-_LLOYD_RTOL = 1e-9
-
 
 class ZeroCode(ValueError):
     """A coefficient vector has (numerically) zero norm.
@@ -55,10 +48,6 @@ class ZeroCode(ValueError):
     def __init__(self, j: int):
         self.j = j
         super().__init__(f"code {j} has zero norm; the exemplars cannot represent it")
-
-
-class EmptyGraph(ValueError):
-    """The affinity matrix has no edges."""
 
 
 @dataclass(frozen=True)
@@ -130,89 +119,22 @@ def build_knn_graph(codes: np.ndarray, t: int) -> AffinityGraph:
     return AffinityGraph(W + W.T)
 
 
-def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[int(rng.integers(n))]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            pick = int(rng.integers(n))
-        else:
-            pick = int(rng.choice(n, p=d2 / total))
-        centers[c] = X[pick]
-        d2 = np.minimum(d2, ((X - centers[c]) ** 2).sum(axis=1))
-    return centers
+def _bisect(adj: np.ndarray) -> np.ndarray:
+    """Normalized-cut bisection of a connected weighted graph.
 
-
-def _lloyd(X: np.ndarray, centers: np.ndarray):
-    n, k = X.shape[0], centers.shape[0]
-    prev_inertia = np.inf
-    labels = np.zeros(n, dtype=int)
-    for _ in range(_LLOYD_MAX_ITER):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(n), labels].sum())
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centers[c] = X[mask].mean(axis=0)
-            else:
-                # repopulate an empty cluster with the worst-fit point
-                far = int(np.argmax(d2[np.arange(n), labels]))
-                centers[c] = X[far]
-        if prev_inertia - inertia <= _LLOYD_RTOL * max(abs(prev_inertia), 1e-300):
-            break
-        prev_inertia = inertia
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), labels].sum())
-    return labels, inertia
-
-
-def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
-    best_labels, best_inertia = None, np.inf
-    for _ in range(_KMEANS_RESTARTS):
-        centers = _kmeans_pp_init(X, k, rng)
-        labels, inertia = _lloyd(X, centers.copy())
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return best_labels
-
-
-def spectral_cluster(graph: AffinityGraph, n_clusters: int, seed: int = 0) -> ClusterAssignment:
-    """Normalized spectral clustering of the affinity graph.
-
-    Uses the symmetric normalized Laplacian, the eigenvectors of its
-    n_clusters smallest eigenvalues, row normalization of the embedding, and
-    seeded k-means (k-means++ init, 10 restarts, lowest inertia wins).
-    Isolated vertices are given unit degree so the normalization stays
-    finite; they are reported via a warning.
+    Takes the sign of the second eigenvector of the normalized Laplacian
+    I - D^-1/2 A D^-1/2 (a zero degree counts as 1) and returns the mask of
+    the side that does not hold vertex 0, so the result does not depend on
+    the sign the eigensolver picks.  On a connected graph with two or more
+    vertices that eigenvector is orthogonal to the positive D^1/2 1, so it
+    has entries of both signs and both sides are nonempty: every cut of
+    ``esc_pipeline``'s split loop is proper, so the loop ends.
     """
-    if n_clusters < 1:
-        raise ValueError("n_clusters must be >= 1")
-    A = np.asarray(graph.matrix, dtype=float)
-    if not A.any():
-        raise EmptyGraph("affinity matrix has no nonzero entries")
-    n = A.shape[0]
-    if n_clusters > n:
-        raise ValueError("n_clusters cannot exceed the number of points")
-    deg = A.sum(axis=1)
-    isolated = deg <= 0
-    if isolated.any():
-        warnings.warn(f"{int(isolated.sum())} isolated vertices in affinity graph")
-        deg = np.where(isolated, 1.0, deg)
-    dmh = 1.0 / np.sqrt(deg)
-    lap = np.eye(n) - dmh[:, None] * A * dmh[None, :]
-    lap = 0.5 * (lap + lap.T)
-    _, vecs = np.linalg.eigh(lap)
-    emb = vecs[:, :n_clusters]
-    rn = np.linalg.norm(emb, axis=1)
-    emb = emb / np.where(rn > _ZERO_NORM, rn, 1.0)[:, None]
-    rng = np.random.default_rng(seed)
-    labels = _kmeans(emb, n_clusters, rng)
-    return ClusterAssignment(labels, n_clusters)
+    deg = adj.sum(axis=1)
+    dmh = 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0))
+    lap = np.eye(adj.shape[0]) - dmh[:, None] * adj * dmh[None, :]
+    side = np.linalg.eigh(lap)[1][:, 1] > 0
+    return side != side[0]
 
 
 def _connected_components(adj: np.ndarray) -> np.ndarray:
@@ -327,18 +249,18 @@ def esc_pipeline(
     Returns the ClusterAssignment, or with ``return_details`` the triple
     (assignment, exemplars, codes), codes being the SparseCodes of every
     point.  ``selection`` is a method of ``ffs.select``: "ffs" (lazy
-    search), "ffs-naive", or "random".
+    search), "ffs-naive", or "random"; ``seed`` seeds only the selection.
 
     Graph stage: the connected components of the t-NN graph of the
-    floor-cleaned codes are the starting groups; without isolated vertices,
-    n_clusters of them span the Laplacian's null space, so no eigensolve is
-    needed.  ``spectral_cluster`` runs only to split: with fewer components
-    than clusters, or as many with an isolated vertex among them (its unit
-    degree takes it out of the null space).  ``_merge_components`` then
-    refines by span, merges by subspace fit down to n_clusters and refines
-    again: on dependent subspaces a group joined across classes by a few
-    edges spans more dimensions than a pure one and hands its points back.
-    Cluster ids follow the starting groups' order (components: lowest vertex).
+    floor-cleaned codes are the starting groups.  While fewer than
+    n_clusters groups have two or more points (a one-point group cannot
+    stand alone as a cluster), the largest group is bisected by normalized
+    cut (``_bisect``) and the groups are taken again as connected
+    components, so every group stays connected and every cut is proper.
+    ``_merge_components`` then refines by span, merges by subspace fit down
+    to n_clusters and refines again: on dependent subspaces a group joined
+    across classes by a few edges spans more dimensions than a pure one and
+    hands its points back.  Cluster ids follow the groups' lowest vertex.
 
     Points whose code is zero (unrepresentable at this lambda) are excluded
     from the graph, attached afterwards to the cluster of the exemplar with
@@ -350,7 +272,6 @@ def esc_pipeline(
         raise ValueError(f"t={t} must be >= 1")
     rng = np.random.default_rng(seed)
     seed_sel = int(rng.integers(2**63))
-    seed_spec = int(rng.integers(2**63))
     exemplars = select(data, selection, lam, k, seed_sel, tol, first_index)
 
     sel = list(exemplars.indices)
@@ -370,10 +291,15 @@ def esc_pipeline(
         )
     C = threshold_codes(codes.coeffs[:, keep])
     graph = build_knn_graph(C, t)
-    groups = _connected_components(graph.matrix > 0)
+    adj = graph.matrix > 0
+    groups = _connected_components(adj)
     sizes = np.bincount(groups)
-    if sizes.size < n_clusters or (sizes.size == n_clusters and (sizes == 1).any()):
-        groups = spectral_cluster(graph, n_clusters, seed_spec).labels
+    # a one-point group can never stand alone as a cluster
+    while (sizes > 1).sum() < n_clusters and sizes.max() > 1:
+        members = np.flatnonzero(groups == np.argmax(sizes))
+        groups[members[_bisect(graph.matrix[np.ix_(members, members)])]] = sizes.size
+        groups = _connected_components(adj & (groups[:, None] == groups[None, :]))
+        sizes = np.bincount(groups)
     kept_labels = _merge_components(data.points[:, keep], C, groups, n_clusters)
     labels[keep] = kept_labels
     if zero.any():

@@ -109,6 +109,10 @@ def test_missing_class_raises():
     with pytest.raises(NoExemplarsForClass) as err:
         LabeledExemplars.from_labels([0, 1], [0, 0], expected_classes=[0, 1])
     assert err.value.class_id == 1
+    # an unselected index's class does not count toward the expected ones
+    with pytest.raises(NoExemplarsForClass) as err:
+        LabeledExemplars.from_labels([0], {0: 0, 1: 1}, expected_classes=[0, 1])
+    assert err.value.class_id == 1
 
 
 def test_a_map_without_an_exemplar_is_rejected():
@@ -121,6 +125,9 @@ def test_a_negative_class_is_rejected():
         LabeledExemplars.from_labels([0, 2], [1, -1])
     with pytest.raises(ValueError, match="got -3"):
         LabeledExemplars((0,), {0: -3})
+    # a negative class on an index that is not selected is rejected too
+    with pytest.raises(ValueError, match="got -1"):
+        LabeledExemplars.from_labels([0, 2], {0: 1, 2: 0, 5: -1})
 
 
 def test_labeled_exemplars_validation():

@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_exemplars import (
-    AffinityGraph,
     DataMatrix,
-    EmptyGraph,
     SubspaceSpec,
     ZeroCode,
     build_knn_graph,
@@ -17,11 +15,11 @@ from subspace_exemplars import (
     normalize_columns,
     select_random,
     solve_lasso_batch,
-    spectral_cluster,
     synth_union_of_subspaces,
     threshold_codes,
 )
 from subspace_exemplars.cluster import (
+    _bisect,
     _connected_components,
     _merge_components,
     _refine_by_span,
@@ -153,21 +151,9 @@ def test_spectral_two_blocks():
     a = np.zeros((6, 6))
     a[:3, :3] = 1.0
     a[3:, 3:] = 1.0
+    a[2, 3] = a[3, 2] = 1.0
     np.fill_diagonal(a, 0.0)
-    g = AffinityGraph(a)
-    part = spectral_cluster(g, 2, seed=0)
-    truth = [0, 0, 0, 1, 1, 1]
-    assert clustering_accuracy(truth, part.labels) == 100.0
-
-
-def test_spectral_single_cluster_and_empty():
-    a = np.ones((4, 4)) - np.eye(4)
-    g = AffinityGraph(a)
-    part = spectral_cluster(g, 1, seed=0)
-    assert np.all(part.labels == 0)
-    empty = AffinityGraph(np.zeros((3, 3)))
-    with pytest.raises(EmptyGraph):
-        spectral_cluster(empty, 2, seed=0)
+    assert _bisect(a).tolist() == [False] * 3 + [True] * 3
 
 
 def test_spectral_permutation_equivariant():
@@ -175,15 +161,39 @@ def test_spectral_permutation_equivariant():
     blocks = np.zeros((12, 12))
     blocks[:6, :6] = rng.uniform(0.5, 1.0, (6, 6))
     blocks[6:, 6:] = rng.uniform(0.5, 1.0, (6, 6))
+    blocks[5, 6] = 0.1  # one weak edge keeps the graph connected
     blocks = (blocks + blocks.T) / 2
     np.fill_diagonal(blocks, 0.0)
-    g = AffinityGraph(blocks)
-    base = spectral_cluster(g, 2, seed=1)
+    base = _bisect(blocks)
     perm = rng.permutation(12)
-    permuted = blocks[np.ix_(perm, perm)]
-    gp = AffinityGraph(permuted)
-    out = spectral_cluster(gp, 2, seed=1)
-    assert clustering_accuracy(base.labels[perm], out.labels) == 100.0
+    out = _bisect(blocks[np.ix_(perm, perm)])
+    assert clustering_accuracy(base[perm].astype(int), out.astype(int)) == 100.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 12),
+    order_seed=st.integers(0, 2**32 - 1),
+    extra=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(1, 2)),
+                   max_size=30),
+)
+def test_bisect_splits_any_connected_graph_properly(n, order_seed, extra):
+    # a random spanning path keeps the graph connected; extra edges vary it
+    order = np.random.default_rng(order_seed).permutation(n)
+    adj = np.zeros((n, n))
+    adj[order[:-1], order[1:]] = 1.0
+    for i, j, w in extra:
+        if i < n and j < n and i != j:
+            adj[i, j] = w
+    adj = np.maximum(adj, adj.T)
+    side = _bisect(adj)
+    assert side.shape == (n,) and side.dtype == bool
+    assert not side[0] and side.any()
+
+
+def test_a_graph_without_edges_gives_one_point_clusters():
+    part = esc_pipeline(normalize_columns(DataMatrix(np.eye(3))), 5.0, 3, 1, 3)
+    assert sorted(part.labels.tolist()) == [0, 1, 2]
 
 
 def test_pipeline_perfect_on_independent_subspaces():
@@ -220,16 +230,16 @@ def test_pipeline_keeps_a_graph_without_cross_class_edges():
 
 def test_just_enough_components_are_the_partition_without_an_eigensolve(monkeypatch):
     # criterion 6's x=20, seed 2 dataset: the graph has two components and
-    # no isolated vertex, so they span the Laplacian's null space
+    # no isolated vertex, so nothing is split
     from subspace_exemplars import cluster
 
     spec = SubspaceSpec(5, (3, 3), (20, 80), 0.0, 2, coefficients="nonneg")
     data = synth_union_of_subspaces(spec)
 
     def no_eigensolve(*args, **kwargs):
-        raise AssertionError("spectral_cluster ran")
+        raise AssertionError("_bisect ran")
 
-    monkeypatch.setattr(cluster, "spectral_cluster", no_eigensolve)
+    monkeypatch.setattr(cluster, "_bisect", no_eigensolve)
     part, _, codes = esc_pipeline(data, 30.0, 10, 3, 2, seed=2, return_details=True)
     graph = build_knn_graph(threshold_codes(codes.coeffs), 3)
     sizes = np.bincount(_connected_components(graph.matrix > 0))
@@ -246,18 +256,28 @@ def test_an_isolated_vertex_among_just_enough_components_is_split_spectrally(mon
     data = synth_union_of_subspaces(SubspaceSpec(5, (3, 3), (10, 90), 0.0, 7))
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return spectral_cluster(*args, **kwargs)
+    def counted(adj):
+        calls.append(adj)
+        return _bisect(adj)
 
-    monkeypatch.setattr(cluster, "spectral_cluster", counted)
-    with pytest.warns(UserWarning, match="isolated"):
-        part, _, codes = esc_pipeline(data, 30.0, 10, 3, 2, seed=0, return_details=True)
+    monkeypatch.setattr(cluster, "_bisect", counted)
+    part, _, codes = esc_pipeline(data, 30.0, 10, 3, 2, seed=0, return_details=True)
     graph = build_knn_graph(threshold_codes(codes.coeffs), 3)
     sizes = np.bincount(_connected_components(graph.matrix > 0))
     assert sizes.size == 2 and sizes.min() == 1
     assert len(calls) == 1
     assert np.bincount(part.labels, minlength=2).min() > 1
+    assert clustering_accuracy(data.labels, part.labels) == 100.0
+
+
+def test_readme_sphere_data_clusters_well_at_every_seed():
+    # the README's `synth --D 5 --dims 3,3 --counts 10,90 --seed 7` data:
+    # two 3-dim subspaces of R^5 that share a line
+    data = synth_union_of_subspaces(SubspaceSpec(5, (3, 3), (10, 90), 0.0, 7))
+    floors = (100.0, 91.0, 100.0, 100.0, 100.0)
+    for seed, floor in enumerate(floors):
+        part = esc_pipeline(data, 30.0, 10, 3, 2, seed=seed)
+        assert clustering_accuracy(data.labels, part.labels) >= floor, seed
 
 
 def test_span_refinement_returns_points_to_the_pure_group():
