@@ -142,14 +142,6 @@ def _connected_components(adj: np.ndarray) -> np.ndarray:
     return connected_components(adj, directed=False)[1]
 
 
-def _span_basis(points: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the numerical column span of ``points``."""
-    if not points.shape[1]:
-        return points[:, :0]
-    u, s, _ = np.linalg.svd(points, full_matrices=False)
-    return u[:, : int((s > _SPAN_RTOL * s[0]).sum())]
-
-
 def _span_residuals(points: np.ndarray, groups: np.ndarray):
     """Relative residual of every point against every group's span.
 
@@ -159,39 +151,11 @@ def _span_residuals(points: np.ndarray, groups: np.ndarray):
     ids = np.unique(groups)
     norms = np.linalg.norm(points, axis=0)
     norms = np.where(norms > _ZERO_NORM, norms, 1.0)
-    bases = [_span_basis(points[:, groups == g]) for g in ids]
-    ranks = np.array([b.shape[1] for b in bases])
-    res = np.vstack([np.linalg.norm(points - b @ (b.T @ points), axis=0) / norms
-                     for b in bases])
+    svds = [np.linalg.svd(points[:, groups == g], full_matrices=False)[:2] for g in ids]
+    ranks = np.array([int((s > _SPAN_RTOL * s[0]).sum()) for _, s in svds])
+    res = np.vstack([np.linalg.norm(points - u[:, :r] @ (u[:, :r].T @ points), axis=0) / norms
+                     for (u, _), r in zip(svds, ranks)])
     return ids, ranks, res
-
-
-def _refine_by_span(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Move points into the lowest-dimensional group span that holds them.
-
-    A group that mixes subspaces spans more dimensions than a group drawn
-    from one subspace.  So, all at once, every point that lies in the span
-    of a group of strictly lower rank than its own moves to the lowest-rank
-    such group (smallest residual, then lowest id, on ties); spans are then
-    recomputed until no point moves.  A move leaves its target's span as it
-    was and never raises its source's rank, so the summed rank over points
-    falls each round and the loop ends.  A group empties only when all its
-    points lie in lower-dimensional spans.  Where every group spans the
-    whole space, or no point lies in another group's span (noisy data),
-    nothing moves.
-    """
-    groups = np.array(groups, dtype=int)
-    for _ in range(groups.size * points.shape[0] + 1):
-        ids, ranks, res = _span_residuals(points, groups)
-        own = np.searchsorted(ids, groups)
-        movable = (res <= _SPAN_RTOL) & (ranks[:, None] < ranks[own][None, :])
-        if not movable.any():
-            break
-        # rank dominates: residuals that count as a fit are far below 1
-        target = np.argmin(np.where(movable, ranks[:, None] + res, np.inf), axis=0)
-        moving = movable.any(axis=0)
-        groups[moving] = ids[target[moving]]
-    return groups
 
 
 def _merge_components(
@@ -199,36 +163,49 @@ def _merge_components(
 ) -> np.ndarray:
     """Refine the groups ``comp`` by span and merge them into n_clusters.
 
-    Points of a group that mixes subspaces first move into lower-dimensional
-    groups that hold them (``_refine_by_span``).  While more than n_clusters
-    groups remain, the two that fit best merge: the codes cannot decide this
-    on dependent subspaces, but groups from one subspace fit each other's
-    spans.  The fit of a pair is the largest relative residual of one group's
-    points against the other's span, in the smaller direction; fits within
-    the span tolerance count as exact.  Ties (a group spanning the whole
-    space holds every point) go to the strongest |<u_i, u_j>| between the
-    groups' normalized codes (columns of ``codes``), then to the lower ids.
-    The result is refined again, a no-op when nothing merged.  Labels follow
-    the order of the surviving ids of ``comp``.
+    Each round takes every group's span once.  A group that mixes subspaces
+    spans more dimensions than a pure one, so if some point lies in the span
+    of a group of strictly lower rank than its own, all such points move at
+    once to the lowest-rank such group (smallest residual, then lowest id,
+    on ties).  Else, while more than n_clusters groups remain, the pair that
+    fits best merges: its fit is the largest relative residual of one
+    group's points against the other's span, in the smaller direction, exact
+    within the span tolerance.  Ties (a group spanning R^D holds every point)
+    go to the strongest |<u_i, u_j>| between the groups' normalized codes
+    (columns of ``codes``), then to the lower ids.  Else the loop ends.
+
+    A move keeps its target's span and never raises its source's rank, so
+    it lowers the summed rank over points (at most N * D) and adds no group;
+    a merge lowers the group count.  So (group count, summed rank) falls
+    lexicographically each round and N * (N * D + 1) rounds bound the loop;
+    at that cap the groups are returned as they are.  Labels follow the
+    order of the surviving ids of ``comp``.
     """
     unit = codes / np.linalg.norm(codes, axis=0)
-    groups = _refine_by_span(points, comp)
-    while True:
-        ids, _, res = _span_residuals(points, groups)
-        if ids.size <= n_clusters:
+    groups = np.array(comp, dtype=int)
+    for _ in range(groups.size * (groups.size * points.shape[0] + 1)):
+        ids, ranks, res = _span_residuals(points, groups)
+        own = np.searchsorted(ids, groups)
+        movable = (res <= _SPAN_RTOL) & (ranks[:, None] < ranks[own][None, :])
+        if movable.any():
+            # rank dominates: residuals that count as a fit are far below 1
+            target = np.argmin(np.where(movable, ranks[:, None] + res, np.inf), axis=0)
+            moving = movable.any(axis=0)
+            groups[moving] = ids[target[moving]]
+        elif ids.size > n_clusters:
+            members = [groups == g for g in ids]
+            best = None
+            for a in range(1, ids.size):
+                for b in range(a):
+                    fit = min(res[b, members[a]].max(), res[a, members[b]].max())
+                    link = float(np.abs(unit[:, members[a]].T @ unit[:, members[b]]).max())
+                    key = (fit if fit > _SPAN_RTOL else 0.0, -link)
+                    if best is None or key < best[0]:
+                        best = (key, a, b)
+            _, a, b = best
+            groups[members[a]] = ids[b]
+        else:
             break
-        members = [groups == g for g in ids]
-        best = None
-        for a in range(1, ids.size):
-            for b in range(a):
-                fit = min(res[b, members[a]].max(), res[a, members[b]].max())
-                link = float(np.abs(unit[:, members[a]].T @ unit[:, members[b]]).max())
-                key = (fit if fit > _SPAN_RTOL else 0.0, -link)
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        _, a, b = best
-        groups[members[a]] = ids[b]
-    groups = _refine_by_span(points, groups)
     return np.unique(groups, return_inverse=True)[1]
 
 
@@ -257,8 +234,8 @@ def esc_pipeline(
     stand alone as a cluster), the largest group is bisected by normalized
     cut (``_bisect``) and the groups are taken again as connected
     components, so every group stays connected and every cut is proper.
-    ``_merge_components`` then refines by span, merges by subspace fit down
-    to n_clusters and refines again: on dependent subspaces a group joined
+    ``_merge_components`` then refines by span and merges by subspace fit,
+    in one loop, down to n_clusters: on dependent subspaces a group joined
     across classes by a few edges spans more dimensions than a pure one and
     hands its points back.  Cluster ids follow the groups' lowest vertex.
 

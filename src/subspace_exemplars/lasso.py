@@ -66,6 +66,13 @@ def _check_params(lam: float, tol: float = DEFAULT_TOL) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
+def _check_unit(X: np.ndarray, what: str) -> None:
+    """Reject any column of the (D, n) X whose norm is off 1 by more than _UNIT_TOL."""
+    # written so that NaN fails the check
+    if X.shape[1] and not np.max(np.abs(np.linalg.norm(X, axis=0) - 1.0)) <= _UNIT_TOL:
+        raise ValueError(f"{what} must have unit norm")
+
+
 @dataclass(frozen=True)
 class LassoProblem:
     """One self-representation subproblem.
@@ -85,11 +92,8 @@ class LassoProblem:
         if a.ndim != 2 or a.shape[0] != x.shape[0]:
             raise ValueError("dictionary must be (D, M) with D matching the target")
         _check_params(self.lam)
-        # written so that NaN fails the checks
-        if a.shape[1] and not np.max(np.abs(np.linalg.norm(a, axis=0) - 1.0)) <= _UNIT_TOL:
-            raise ValueError("dictionary columns must have unit norm")
-        if not abs(np.linalg.norm(x) - 1.0) <= _UNIT_TOL:
-            raise ValueError("target must have unit norm")
+        _check_unit(a, "dictionary columns")
+        _check_unit(x[:, None], "target")
         object.__setattr__(self, "dictionary", a)
         object.__setattr__(self, "target", x)
 
@@ -299,11 +303,8 @@ def solve_lasso_batch(dictionary, targets, lam: float, tol: float = DEFAULT_TOL)
         X = X[:, None]
     if A.shape[1] == 0:
         return SparseCodes(np.zeros((0, X.shape[1])), X.copy(), np.full(X.shape[1], 0.5 * lam))
-    # written so that NaN fails the checks
-    if not np.max(np.abs(np.linalg.norm(A, axis=0) - 1.0)) <= _UNIT_TOL:
-        raise ValueError("dictionary columns must have unit norm")
-    if not np.max(np.abs(np.linalg.norm(X, axis=0) - 1.0)) <= _UNIT_TOL:
-        raise ValueError("targets must have unit norm")
+    _check_unit(A, "dictionary columns")
+    _check_unit(X, "targets")
     C, _ = _solve_costs(A.T @ A, A.T @ X, (X * X).sum(axis=0), lam, tol)
     # snap tiny coefficients, recompute residuals and objectives exactly
     C = np.where(np.abs(C) < SNAP_EPS, 0.0, C)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import DataMatrix
-from .lasso import DEFAULT_TOL, NoConvergence, _check_params, _solve_costs
+from .lasso import DEFAULT_TOL, NoConvergence, _check_params, _check_unit, _solve_costs
 
 __all__ = ["CostReport", "TooFewPoints", "f_cost", "F_cost", "lambda_threshold", "cost_floor"]
 
@@ -40,8 +40,11 @@ def cost_floor(lam: float) -> float:
     return 1.0 - 0.5 / lam
 
 
-def _indices(exemplars: Sequence[int]) -> list[int]:
-    return [int(i) for i in exemplars]
+def _indices(exemplars: Sequence[int], n: int) -> list[int]:
+    sel = [int(i) for i in exemplars]
+    if any(not 0 <= i < n for i in sel):
+        raise ValueError(f"exemplar indices must lie in [0, N={n})")
+    return sel
 
 
 class _CostEvaluator:
@@ -55,6 +58,7 @@ class _CostEvaluator:
 
     def __init__(self, data: DataMatrix, lam: float, tol: float):
         X = self.points = data.points
+        _check_unit(X, "data columns")
         self.N = data.count
         # ||x||^2 rounded as a BLAS product, like G and H (a plain sum of squares
         # moves 6 of criterion 6's 50 selections); 256 columns at a time
@@ -118,14 +122,19 @@ def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
     """Cost of representing the unit vector x by the indexed exemplar columns.
 
     Returns exactly lam/2 for an empty exemplar set (the defining
-    convention).
+    convention).  Raises ValueError for an index outside [0, N), or for a
+    target or exemplar column that is not a unit vector in R^D.
     """
     _check_params(lam, tol)
-    sel = _indices(exemplars)
+    sel = _indices(exemplars, data.count)
+    x = np.asarray(x, dtype=float).ravel()[:, None]
+    if x.shape[0] != data.dim:
+        raise ValueError(f"target must have length D={data.dim}, got {x.shape[0]}")
+    _check_unit(x, "target")
     if not sel:
         return 0.5 * lam
-    x = np.asarray(x, dtype=float).ravel()[:, None]
     A = data.points[:, sel]
+    _check_unit(A, "exemplar columns")
     return float(_solve_costs(A.T @ A, A.T @ x, (x * x).sum(axis=0), lam, tol)[1][0])
 
 
@@ -134,13 +143,13 @@ def F_cost(exemplars: Sequence[int], data: DataMatrix, lam: float,
     """Worst-case cost over all data points; ties resolved to the lowest index.
 
     Every point equal up to sign to an exemplar is at the floor exactly.
+    Raises ValueError for an index outside [0, N) or data off the unit
+    sphere.
     """
     _check_params(lam, tol)
-    sel = _indices(exemplars)
-    if not sel:
-        per = np.full(data.count, 0.5 * lam)
-    else:
-        per = _CostEvaluator(data, lam, tol).costs(sel, np.arange(data.count))
+    sel = _indices(exemplars, data.count)
+    ev = _CostEvaluator(data, lam, tol)
+    per = ev.costs(sel, np.arange(data.count)) if sel else np.full(data.count, 0.5 * lam)
     arg = int(np.argmax(per))
     return CostReport(per_point=per, sup_value=float(per[arg]), argmax_index=arg)
 

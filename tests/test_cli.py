@@ -315,6 +315,17 @@ def test_select_rejects_a_negative_tol(dataset, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_select_rejects_data_off_the_unit_sphere(tmp_path, capsys):
+    from subspace_exemplars import DataMatrix, save_csv
+
+    data, out = tmp_path / "raw.csv", tmp_path / "sel.json"
+    save_csv(DataMatrix(3 * np.random.default_rng(0).standard_normal((5, 40))), data)
+    rc = _run("select", "--data", data, "--lambda", 30, "--k", 5, "--out", out)
+    assert rc == 2
+    assert "unit norm" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_eq15(tmp_path):
     out = tmp_path / "audit.json"
     rc = _run("oracle", "--check", "eq15", "--trials", 25, "--out", out)

@@ -19,10 +19,11 @@ from subspace_exemplars import (
     threshold_codes,
 )
 from subspace_exemplars.cluster import (
+    _SPAN_RTOL,
     _bisect,
     _connected_components,
     _merge_components,
-    _refine_by_span,
+    _span_residuals,
 )
 from subspace_exemplars.ffs import ffs_lazy
 
@@ -288,12 +289,40 @@ def test_span_refinement_returns_points_to_the_pure_group():
     points = np.hstack([a, b])
     # group 0 holds all of subspace a and half of b, group 1 the rest of b
     groups = np.array([0] * 12 + [1] * 4)
-    refined = _refine_by_span(points, groups)
+    # two groups and two clusters: nothing merges, so only points move
+    refined = _merge_components(points, points, groups, 2)
     assert np.array_equal(refined, [0] * 8 + [1] * 8)
     # groups that both span the whole space carry no evidence: nothing moves
     noisy = points + 0.01 * rng.standard_normal(points.shape)
     mixed = np.array([0, 1] * 8)
-    assert np.array_equal(_refine_by_span(noisy, mixed), mixed)
+    assert np.array_equal(_merge_components(noisy, noisy, mixed, 2), mixed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 8),
+    dims=st.lists(st.integers(1, 7), min_size=1, max_size=4),
+    n_groups=st.integers(1, 8),
+    n_clusters=st.integers(1, 4),
+)
+def test_merging_ends_at_a_fixpoint_with_at_most_n_clusters_groups(
+    seed, d, dims, n_groups, n_clusters
+):
+    # random unions of subspaces, often dependent, from random start groups
+    rng = np.random.default_rng(seed)
+    points = np.hstack([
+        rng.standard_normal((d, min(r, d))) @ rng.standard_normal((min(r, d), rng.integers(1, 9)))
+        for r in dims
+    ])
+    points /= np.linalg.norm(points, axis=0)
+    labels = _merge_components(points, points, rng.integers(0, n_groups, points.shape[1]),
+                               n_clusters)
+    assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
+    assert labels.max() < n_clusters
+    ids, ranks, res = _span_residuals(points, labels)
+    movable = (res <= _SPAN_RTOL) & (ranks[:, None] < ranks[labels][None, :])
+    assert not movable.any()
 
 
 def test_random_exemplars_do_not_beat_search_on_imbalanced_data():

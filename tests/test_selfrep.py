@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from subspace_exemplars import (
     DataMatrix,
     F_cost,
+    SubspaceSpec,
     TooFewPoints,
     cost_floor,
     f_cost,
+    ffs_lazy,
+    ffs_naive,
     lambda_threshold,
     normalize_columns,
+    synth_union_of_subspaces,
 )
 from subspace_exemplars.selfrep import _CostEvaluator
 
@@ -196,3 +200,32 @@ def test_dual_lower_bound_never_exceeds_the_cost():
             lower, cost = ev.lower_bounds(sel, everyone), ev.costs(sel, everyone)
             assert np.all(lower <= cost + 1e-13 * lam), (seed, lam)
             assert np.all(lower[sel] == cost_floor(lam)), (seed, lam)
+
+
+@pytest.mark.parametrize("entry", ["ffs_lazy", "ffs_naive", "F_cost"])
+def test_data_off_the_unit_sphere_is_rejected_before_any_solve(entry):
+    # unchecked, such data gives costs far outside [1 - 1/(2 lam), lam/2]
+    data = DataMatrix(3 * np.random.default_rng(0).standard_normal((5, 40)))
+    calls = {
+        "ffs_lazy": lambda: ffs_lazy(data, 30.0, 5),
+        "ffs_naive": lambda: ffs_naive(data, 30.0, 5),
+        "F_cost": lambda: F_cost([0, 1], data, 30.0),
+    }
+    with pytest.raises(ValueError, match="unit norm"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda x, data: f_cost(3 * x, [1, 2], data, 10.0), "unit norm"),
+    (lambda x, data: f_cost(0 * x, [1, 2], data, 10.0), "unit norm"),
+    (lambda x, data: f_cost(np.full_like(x, np.nan), [1, 2], data, 10.0), "unit norm"),
+    (lambda x, data: f_cost(np.append(x, 0.0), [1, 2], data, 10.0), "length"),
+    (lambda x, data: f_cost(x, [1, 99], data, 10.0), r"\[0, N=10\)"),
+    (lambda x, data: f_cost(x, [-1], data, 10.0), r"\[0, N=10\)"),
+    (lambda x, data: F_cost([1, -1], data, 10.0), r"\[0, N=10\)"),
+    (lambda x, data: F_cost([10], data, 10.0), r"\[0, N=10\)"),
+], ids=["scaled", "zero", "nan", "long", "index-99", "index-neg", "F-index-neg", "F-index-N"])
+def test_bad_targets_and_indices_are_rejected(call, match):
+    data = synth_union_of_subspaces(SubspaceSpec(6, (2, 2), (5, 5), 0.0, 0))
+    with pytest.raises(ValueError, match=match):
+        call(data.points[:, 0], data)
