@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .dataset import DataMatrix
 from .ffs import select
@@ -139,6 +138,7 @@ def _bisect(adj: np.ndarray) -> np.ndarray:
 
 def _connected_components(adj: np.ndarray) -> np.ndarray:
     """Component id of every vertex, numbered in order of the lowest vertex."""
+    from scipy.sparse.csgraph import connected_components
     return connected_components(adj, directed=False)[1]
 
 

@@ -14,6 +14,7 @@ geometry:
 
 The LPs are infeasibility-aware: a target outside the span yields the +inf
 sentinel rather than an error.
+scipy's LP solver loads on the first LP, not when the module is imported.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+
+from .lasso import _check_unit
 
 __all__ = [
     "SymmetricHull",
@@ -37,7 +39,6 @@ __all__ = [
 ]
 
 _SPAN_TOL = 1e-9
-_UNIT_TOL = 1e-10
 
 
 class UnsupportedDim(ValueError):
@@ -58,11 +59,10 @@ class SymmetricHull:
         g = np.array(self.generators, dtype=float)
         if g.ndim != 2 or g.shape[1] == 0 or g.shape[1] % 2:
             raise ValueError("generators must be a (D, 2M) array")
+        _check_unit(g, "generators")
         m = g.shape[1] // 2
         if not np.allclose(g[:, m:], -g[:, :m], atol=1e-12):
             raise ValueError("generators must be closed under negation")
-        if np.max(np.abs(np.linalg.norm(g, axis=0) - 1.0)) > _UNIT_TOL:
-            raise ValueError("generators must have unit norm")
         g.setflags(write=False)
         object.__setattr__(self, "generators", g)
 
@@ -104,6 +104,7 @@ def l1_min_exact(dictionary: np.ndarray, target: np.ndarray):
     q = _span_basis(a)
     if np.linalg.norm(x - q @ (q.T @ x)) > _SPAN_TOL:
         return math.inf, None
+    from scipy.optimize import linprog
     m = a.shape[1]
     a_eq = q.T @ np.hstack([a, -a])
     res = linprog(
@@ -132,6 +133,7 @@ def minkowski_functional(hull: SymmetricHull, x: np.ndarray) -> float:
     q = _span_basis(g)
     if np.linalg.norm(x - q @ (q.T @ x)) > _SPAN_TOL:
         return math.inf
+    from scipy.optimize import linprog
     res = linprog(
         c=np.ones(g.shape[1]),
         A_eq=q.T @ g,
@@ -174,8 +176,7 @@ def covering_radius(points_on_sphere: np.ndarray, grid_resolution: float) -> flo
     v = np.asarray(points_on_sphere, dtype=float)
     if v.ndim != 2 or v.shape[1] == 0:
         raise ValueError("points_on_sphere must be a (D, m) array")
-    if np.max(np.abs(np.linalg.norm(v, axis=0) - 1.0)) > _UNIT_TOL:
-        raise ValueError("points must have unit norm")
+    _check_unit(v, "points")
     grid = _sphere_grid(v.shape[0], grid_resolution)
     best = np.clip((v.T @ grid).max(axis=0), -1.0, 1.0)
     return float(np.arccos(best.min()))

@@ -4,6 +4,7 @@ subspace-preserving rate of a code collection.
 Accuracy and F-score maximize over all matchings between true classes and
 predicted groups; the maximization is done exactly by optimal assignment
 (Hungarian matching), which equals brute-force enumeration of permutations.
+scipy's assignment solver loads on the first such call, not at import.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "ContingencyTable",
@@ -82,6 +82,7 @@ def contingency_table(truth, pred) -> ContingencyTable:
 
 def clustering_accuracy(truth, pred) -> float:
     """Largest percentage of agreeing points over all label matchings."""
+    from scipy.optimize import linear_sum_assignment
     table = contingency_table(truth, pred)
     rows, cols = linear_sum_assignment(-table.counts)
     return 100.0 * table.counts[rows, cols].sum() / table.total
@@ -102,6 +103,7 @@ def clustering_fscore(truth, pred) -> float:
     The average divides by the number of true classes; matching runs over the
     padded square so extra predicted groups can absorb split classes.
     """
+    from scipy.optimize import linear_sum_assignment
     table = contingency_table(truth, pred)
     f = _f_matrix(table)
     rows, cols = linear_sum_assignment(-f)

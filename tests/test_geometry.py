@@ -139,6 +139,16 @@ def test_hull_validation():
         SymmetricHull.from_points(2.0 * np.eye(2))  # not unit norm
 
 
+def test_hull_rejects_a_nan_generator_as_not_unit_norm():
+    with pytest.raises(ValueError, match="unit norm"):
+        SymmetricHull.from_points(np.array([[np.nan, 1.0], [0.0, 0.0]]))
+
+
+def test_covering_radius_rejects_a_nan_point():
+    with pytest.raises(ValueError, match="unit norm"):
+        covering_radius(np.array([[np.nan, 1.0], [0.0, 0.0]]), 0.1)
+
+
 def test_lasso_objective_approaches_l1_min():
     rng = np.random.default_rng(4)
     pts = _unit(rng, 4, 6)
