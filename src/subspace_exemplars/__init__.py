@@ -7,7 +7,7 @@ or classify it.  Geometry oracles verify the selection objective against its
 convex-geometric characterization at desk scale.
 """
 
-from .classify import LabeledExemplars, NoExemplarsForClass, src_classify
+from .classify import LabeledExemplars, src_classify
 from .cluster import (
     AffinityGraph,
     ClusterAssignment,
@@ -42,13 +42,11 @@ from .geometry import (
     sup_l1_cost_on_sphere,
 )
 from .lasso import (
-    LassoProblem,
     NoConvergence,
     SparseCode,
     SparseCodes,
     duality_gap,
     kkt_violation,
-    solve_lasso,
     solve_lasso_batch,
 )
 from .metrics import (
@@ -77,10 +75,8 @@ __all__ = [
     "ExemplarSet",
     "F_cost",
     "LabeledExemplars",
-    "LassoProblem",
     "LengthMismatch",
     "NoConvergence",
-    "NoExemplarsForClass",
     "ParseError",
     "RaggedRows",
     "SelectionStep",
@@ -114,7 +110,6 @@ __all__ = [
     "pca_project",
     "save_csv",
     "select_random",
-    "solve_lasso",
     "solve_lasso_batch",
     "src_classify",
     "subspace_preserving_rate",

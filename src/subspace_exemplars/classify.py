@@ -19,13 +19,7 @@ from .dataset import DataMatrix
 from .ffs import ExemplarSet
 from .lasso import DEFAULT_TOL, solve_lasso_batch
 
-__all__ = ["LabeledExemplars", "NoExemplarsForClass", "src_classify"]
-
-
-class NoExemplarsForClass(ValueError):
-    def __init__(self, class_id: int):
-        self.class_id = class_id
-        super().__init__(f"class {class_id} has no exemplars")
+__all__ = ["LabeledExemplars", "src_classify"]
 
 
 def _check_class_ids(classes) -> None:
@@ -64,13 +58,11 @@ class LabeledExemplars:
         cls,
         indices: Sequence[int],
         labels: Mapping[int, int] | Sequence[int],
-        expected_classes: Sequence[int] | None = None,
     ) -> "LabeledExemplars":
         """Build from a map index->class or a label sequence parallel to indices.
 
         A map may hold other indices too; a negative class anywhere in it is
-        rejected.  When ``expected_classes`` is given, every expected class
-        must own at least one exemplar (NoExemplarsForClass otherwise).
+        rejected.
         """
         idx = [int(i) for i in indices]
         if isinstance(labels, Mapping):
@@ -80,25 +72,15 @@ class LabeledExemplars:
             if len(labels) != len(idx):
                 raise ValueError("labels must parallel indices")
             class_of = {i: int(c) for i, c in zip(idx, labels)}
-        got = set(class_of.values())
-        if expected_classes is not None:
-            for c in expected_classes:
-                if int(c) not in got:
-                    raise NoExemplarsForClass(int(c))
         return cls(tuple(idx), class_of)
 
     @classmethod
-    def from_data(
-        cls,
-        exemplars: ExemplarSet | Sequence[int],
-        data: DataMatrix,
-        expected_classes: Sequence[int] | None = None,
-    ) -> "LabeledExemplars":
+    def from_data(cls, exemplars: ExemplarSet | Sequence[int], data: DataMatrix) -> "LabeledExemplars":
         """Label selected indices from the dataset's ground-truth column."""
         if data.labels is None:
             raise ValueError("dataset has no labels to read exemplar classes from")
         idx = list(getattr(exemplars, "indices", exemplars))
-        return cls.from_labels(idx, [int(data.labels[i]) for i in idx], expected_classes)
+        return cls.from_labels(idx, [int(data.labels[i]) for i in idx])
 
 
 def src_classify(

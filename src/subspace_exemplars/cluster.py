@@ -245,6 +245,8 @@ def esc_pipeline(
     """
     if not 1 <= n_clusters <= data.count:
         raise ValueError(f"n_clusters={n_clusters} must be in [1, N={data.count}]")
+    if not 1 <= k <= data.count:
+        raise ValueError(f"k={k} must be in [1, N={data.count}]")
     if t < 1:
         raise ValueError(f"t={t} must be >= 1")
     rng = np.random.default_rng(seed)

@@ -143,10 +143,6 @@ class SubspaceSpec:
     def n_subspaces(self) -> int:
         return len(self.subspace_dims)
 
-    @property
-    def total_count(self) -> int:
-        return sum(self.samples_per_subspace)
-
 
 def normalize_columns(m: DataMatrix) -> DataMatrix:
     """Scale every column to unit Euclidean norm, preserving labels.

@@ -12,9 +12,11 @@ misses the tolerance raises :class:`NoConvergence` at once.  Convergence is
 certified: the returned coefficients satisfy the subgradient optimality
 conditions within the requested tolerance and the duality gap at return is
 below it as well.  Both can be recomputed from the returned code via
-:func:`kkt_violation` and :func:`duality_gap`.  Non-finite data, a lam that
-is not finite and > 1 and a tol that is not finite and > 0 are rejected
-with ``ValueError``.
+:func:`kkt_violation` and :func:`duality_gap`.  :func:`solve_lasso_batch` is
+the one public entry point; it rejects with ``ValueError`` a dictionary
+that is not 2-D, targets that are not (D,) or (D, T) with the dictionary's
+D, a target or dictionary column that is non-finite or off the unit sphere,
+a lam that is not finite and > 1 and a tol that is not finite and > 0.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LassoProblem",
     "SparseCode",
     "SparseCodes",
     "NoConvergence",
-    "solve_lasso",
     "solve_lasso_batch",
     "duality_gap",
     "kkt_violation",
@@ -51,11 +51,10 @@ _JOIN_EPS = 1e-10
 class NoConvergence(RuntimeError):
     """The solver's code misses the tolerance; carries its duality gap."""
 
-    def __init__(self, gap: float, target_index: int | None = None):
+    def __init__(self, gap: float, target_index: int):
         self.gap = gap
         self.target_index = target_index
-        where = "" if target_index is None else f" (target {target_index})"
-        super().__init__(f"no certified code{where}: duality gap {gap:.3e}")
+        super().__init__(f"no certified code (target {target_index}): duality gap {gap:.3e}")
 
 
 def _check_params(lam: float, tol: float = DEFAULT_TOL) -> None:
@@ -71,31 +70,6 @@ def _check_unit(X: np.ndarray, what: str) -> None:
     # written so that NaN fails the check
     if X.shape[1] and not np.max(np.abs(np.linalg.norm(X, axis=0) - 1.0)) <= _UNIT_TOL:
         raise ValueError(f"{what} must have unit norm")
-
-
-@dataclass(frozen=True)
-class LassoProblem:
-    """One self-representation subproblem.
-
-    dictionary : (D, M) array of unit-norm columns (M may be 0).
-    target     : (D,) unit-norm vector.
-    lam        : regularization weight, finite and > 1.
-    """
-
-    dictionary: np.ndarray
-    target: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        a = np.asarray(self.dictionary, dtype=float)
-        x = np.asarray(self.target, dtype=float).ravel()
-        if a.ndim != 2 or a.shape[0] != x.shape[0]:
-            raise ValueError("dictionary must be (D, M) with D matching the target")
-        _check_params(self.lam)
-        _check_unit(a, "dictionary columns")
-        _check_unit(x[:, None], "target")
-        object.__setattr__(self, "dictionary", a)
-        object.__setattr__(self, "target", x)
 
 
 @dataclass(frozen=True)
@@ -245,7 +219,7 @@ def _cd_core(G, H, xnorm2, lam, tol):
     3 stay because the benchmark hooks them: ``perfbench/layers.py`` counts
     the calls and adds position 3 to its sweep counter, and
     ``perfbench/test_smoke.py`` asserts that calls were counted.  The run
-    report of ROADMAP item 4 retires the name.
+    report of ROADMAP item 2 retires the name.
     """
     C = np.zeros(H.shape)
     finite = np.isfinite(H).all(axis=0) & np.isfinite(xnorm2)
@@ -273,38 +247,31 @@ def _solve_costs(G, H, xnorm2, lam, tol):
     return C, np.abs(C).sum(axis=0) + 0.5 * lam * e2
 
 
-def solve_lasso(problem: LassoProblem, tol: float = DEFAULT_TOL) -> SparseCode:
-    """Solve one problem to certified optimality.
-
-    Raises NoConvergence when the homotopy's code misses the tolerance.  An
-    empty dictionary returns the conventional value lam/2 with an empty
-    coefficient vector.
-    """
-    try:
-        return solve_lasso_batch(problem.dictionary, problem.target, problem.lam, tol)[0]
-    except NoConvergence as err:
-        raise NoConvergence(err.gap) from None
-
-
 def solve_lasso_batch(dictionary, targets, lam: float, tol: float = DEFAULT_TOL) -> SparseCodes:
-    """Solve one problem per target column over a shared dictionary.
+    """Solve one problem per target over a shared dictionary.
 
-    Keeps the target order.  Each code is certified on its own, but the
-    batch shares matrix products, so a code can differ from the one a
-    per-target :func:`solve_lasso` call returns in the last digits.  A
-    NoConvergence failure carries the index of the first target whose code
-    misses the tolerance.  Accepts plain arrays or objects with a ``points``
-    attribute (DataMatrix).
+    dictionary : (D, M) array of unit-norm columns (M may be 0); targets : a
+    (D,) unit vector or (D, T) unit columns.  Keeps the target order.  Each
+    code is certified on its own, but the batch shares matrix products, so
+    a code can differ in the last digits from the one the same target gets
+    in another batch.  An empty dictionary gives every target the
+    conventional value lam/2.  A NoConvergence failure carries the index of
+    the first target whose code misses the tolerance.  Accepts plain arrays
+    or objects with a ``points`` attribute (DataMatrix).
     """
     A = _as_points(dictionary)
     X = _as_points(targets)
     _check_params(lam, tol)
+    if A.ndim != 2:
+        raise ValueError(f"dictionary must be a (D, M) array, got shape {A.shape}")
+    if X.ndim not in (1, 2) or X.shape[0] != A.shape[0]:
+        raise ValueError(f"targets must be (D,) or (D, T) with D={A.shape[0]}, got shape {X.shape}")
     if X.ndim == 1:
         X = X[:, None]
+    _check_unit(X, "targets")
     if A.shape[1] == 0:
         return SparseCodes(np.zeros((0, X.shape[1])), X.copy(), np.full(X.shape[1], 0.5 * lam))
     _check_unit(A, "dictionary columns")
-    _check_unit(X, "targets")
     C, _ = _solve_costs(A.T @ A, A.T @ X, (X * X).sum(axis=0), lam, tol)
     # snap tiny coefficients, recompute residuals and objectives exactly
     C = np.where(np.abs(C) < SNAP_EPS, 0.0, C)
@@ -321,23 +288,29 @@ def _as_points(m) -> np.ndarray:
 def kkt_violation(dictionary, target, lam: float, code: SparseCode) -> float:
     """Largest violation of the subgradient optimality conditions.
 
-    For e = x - A c the conditions are |a_i . e| <= 1/lam where c_i = 0 and
-    a_i . e = sign(c_i)/lam where c_i != 0.
+    For e = x - A c, computed from the target and the code's coefficients
+    (not from ``code.residual``), the conditions are |a_i . e| <= 1/lam
+    where c_i = 0 and a_i . e = sign(c_i)/lam where c_i != 0.
     """
     A = _as_points(dictionary)
     if A.shape[1] == 0:
         return 0.0
-    corr = (A.T @ code.residual)[:, None]
+    e = _as_points(target).ravel() - A @ code.coeffs
+    corr = (A.T @ e)[:, None]
     kkt, _ = _certificates(corr, code.coeffs[:, None], np.zeros(1), lam)
     return float(kkt[0])
 
 
 def duality_gap(dictionary, target, lam: float, code: SparseCode) -> float:
-    """Duality gap of the code for its problem (nonnegative, 0 at optimum)."""
+    """Duality gap of the code for its problem (nonnegative, 0 at optimum).
+
+    Like :func:`kkt_violation`, reads e = x - A c from the target and the
+    code's coefficients.
+    """
     A = _as_points(dictionary)
     if A.shape[1] == 0:
         return 0.0
-    e = code.residual
+    e = _as_points(target).ravel() - A @ code.coeffs
     corr = (A.T @ e)[:, None]
     _, gap = _certificates(corr, code.coeffs[:, None], np.array([float(e @ e)]), lam)
     return float(gap[0])

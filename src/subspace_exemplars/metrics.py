@@ -45,7 +45,6 @@ class ContingencyTable:
     class_sizes: np.ndarray
     group_sizes: np.ndarray
     n_true: int
-    n_pred: int
 
     @property
     def total(self) -> int:
@@ -76,7 +75,6 @@ def contingency_table(truth, pred) -> ContingencyTable:
         class_sizes=counts.sum(axis=1),
         group_sizes=counts.sum(axis=0),
         n_true=len(t_classes),
-        n_pred=len(p_classes),
     )
 
 

@@ -122,7 +122,8 @@ def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
     """Cost of representing the unit vector x by the indexed exemplar columns.
 
     Returns exactly lam/2 for an empty exemplar set (the defining
-    convention).  Raises ValueError for an index outside [0, N), or for a
+    convention) and exactly the floor when x equals an exemplar column or
+    its negation, as F_cost does.  Raises ValueError for an index outside [0, N), or for a
     target or exemplar column that is not a unit vector in R^D.
     """
     _check_params(lam, tol)
@@ -135,6 +136,8 @@ def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
         return 0.5 * lam
     A = data.points[:, sel]
     _check_unit(A, "exemplar columns")
+    if ((A == x) | (A == -x)).all(axis=0).any():
+        return cost_floor(lam)
     return float(_solve_costs(A.T @ A, A.T @ x, (x * x).sum(axis=0), lam, tol)[1][0])
 
 

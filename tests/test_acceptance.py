@@ -308,7 +308,7 @@ def test_criterion_10_solver_certificates():
         lam = float(rng.choice([10.0, 100.0, 1e4]))
         a = _unit(rng, d, m)
         x = _unit(rng, d, 1)[:, 0]
-        code = sx.solve_lasso(sx.LassoProblem(a, x, lam), tol=1e-8)
+        code = sx.solve_lasso_batch(a, x, lam, 1e-8)[0]
         worst_kkt = max(worst_kkt, _kkt_violation(a, x, lam, code))
     ok = worst_kkt <= 1e-8
 
@@ -322,7 +322,7 @@ def test_criterion_10_solver_certificates():
         x = a @ rng.standard_normal(m)
         x /= np.linalg.norm(x)
         lp, _ = sx.l1_min_exact(a, x)
-        code = sx.solve_lasso(sx.LassoProblem(a, x, 1e6), tol=1e-6)
+        code = sx.solve_lasso_batch(a, x, 1e6, 1e-6)[0]
         worst_agree = max(worst_agree, abs(code.objective - lp))
         worst_kkt_16 = _kkt_violation(a, x, 1e6, code)
         ok &= worst_kkt_16 <= 1e-6

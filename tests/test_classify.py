@@ -4,7 +4,6 @@ import pytest
 from subspace_exemplars import (
     DataMatrix,
     LabeledExemplars,
-    NoExemplarsForClass,
     SubspaceSpec,
     ffs_lazy,
     normalize_columns,
@@ -103,16 +102,6 @@ def test_exemplar_order_invariance():
     lab2 = LabeledExemplars.from_labels(order, {i: lab.class_of[i] for i in order})
     out2 = src_classify(data, lab2, 1e4)
     assert np.array_equal(out.labels, out2.labels)
-
-
-def test_missing_class_raises():
-    with pytest.raises(NoExemplarsForClass) as err:
-        LabeledExemplars.from_labels([0, 1], [0, 0], expected_classes=[0, 1])
-    assert err.value.class_id == 1
-    # an unselected index's class does not count toward the expected ones
-    with pytest.raises(NoExemplarsForClass) as err:
-        LabeledExemplars.from_labels([0], {0: 0, 1: 1}, expected_classes=[0, 1])
-    assert err.value.class_id == 1
 
 
 def test_a_map_without_an_exemplar_is_rejected():

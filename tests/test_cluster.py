@@ -25,7 +25,7 @@ from subspace_exemplars.cluster import (
     _merge_components,
     _span_residuals,
 )
-from subspace_exemplars.ffs import ffs_lazy
+from subspace_exemplars.ffs import METHODS, ffs_lazy
 
 
 def test_orthogonal_code_groups_stay_separate():
@@ -405,3 +405,19 @@ def test_pipeline_rejects_a_bad_neighbour_count_before_selection(monkeypatch, t)
     monkeypatch.setattr(cluster, "select", no_selection)
     with pytest.raises(ValueError, match="t="):
         esc_pipeline(data, 10.0, 2, t, 1)
+
+
+@pytest.mark.parametrize("selection", METHODS)
+def test_pipeline_rejects_a_zero_exemplar_count_before_selection(monkeypatch, selection):
+    # the random selector accepts k=0, and an empty selection would only
+    # fail later, as a ZeroCode
+    from subspace_exemplars import cluster
+
+    data = synth_union_of_subspaces(SubspaceSpec(6, (2,), (8,), 0.0, 0))
+
+    def no_selection(*args, **kwargs):
+        raise AssertionError("selection ran")
+
+    monkeypatch.setattr(cluster, "select", no_selection)
+    with pytest.raises(ValueError, match="k=0"):
+        esc_pipeline(data, 10.0, 0, 3, 1, selection=selection)

@@ -5,14 +5,13 @@ import pytest
 
 from subspace_exemplars import (
     DegenerateHull,
-    LassoProblem,
     SymmetricHull,
     UnsupportedDim,
     covering_radius,
     inradius,
     l1_min_exact,
     minkowski_functional,
-    solve_lasso,
+    solve_lasso_batch,
     sup_gauge_on_sphere,
     sup_l1_cost_on_sphere,
 )
@@ -157,7 +156,7 @@ def test_lasso_objective_approaches_l1_min():
     lp, _ = l1_min_exact(pts, x)
     gaps = []
     for lam, tol in ((1e2, 1e-8), (1e4, 1e-8), (1e6, 1e-6)):
-        code = solve_lasso(LassoProblem(pts, x, lam), tol=tol)
+        code = solve_lasso_batch(pts, x, lam, tol)[0]
         gaps.append(abs(code.objective - lp))
     assert gaps[0] >= gaps[1] >= gaps[2]
     assert gaps[2] <= 1e-3

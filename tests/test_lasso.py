@@ -5,13 +5,11 @@ import pytest
 
 from subspace_exemplars import (
     DataMatrix,
-    LassoProblem,
     NoConvergence,
     SparseCode,
     SubspaceSpec,
     duality_gap,
     kkt_violation,
-    solve_lasso,
     solve_lasso_batch,
     subspace_preserving_rate,
     synth_union_of_subspaces,
@@ -31,7 +29,7 @@ def _objective(a, x, lam, c):
 
 def test_empty_dictionary_gives_lambda_half():
     x = np.array([0.6, 0.8])
-    code = solve_lasso(LassoProblem(np.zeros((2, 0)), x, 150.0))
+    code = solve_lasso_batch(np.zeros((2, 0)), x, 150.0)[0]
     assert code.objective == 75.0
     assert code.coeffs.size == 0
     assert np.array_equal(code.residual, x)
@@ -40,7 +38,7 @@ def test_empty_dictionary_gives_lambda_half():
 def test_target_in_dictionary_hits_floor():
     rng = np.random.default_rng(0)
     a = _unit_columns(rng, 6, 4)
-    code = solve_lasso(LassoProblem(a, a[:, 2].copy(), 100.0))
+    code = solve_lasso_batch(a, a[:, 2].copy(), 100.0)[0]
     assert abs(code.objective - 0.995) <= 1e-6
     expected = np.zeros(4)
     expected[2] = 1 - 1 / 100.0
@@ -52,7 +50,7 @@ def test_lambda_below_coherence_threshold_gives_zero():
     gram = 0.5 * np.ones((4, 4)) + 0.5 * np.eye(4)
     a_all = np.linalg.cholesky(gram).T
     dictionary, target = a_all[:, :3], a_all[:, 3].copy()
-    code = solve_lasso(LassoProblem(dictionary, target, 1.5))
+    code = solve_lasso_batch(dictionary, target, 1.5)[0]
     assert np.all(code.coeffs == 0.0)
     assert abs(code.objective - 0.75) <= 1e-12
 
@@ -60,7 +58,7 @@ def test_lambda_below_coherence_threshold_gives_zero():
 def test_orthonormal_pair_large_lambda():
     a = np.eye(2)
     x = np.array([1.0, 1.0]) / np.sqrt(2)
-    code = solve_lasso(LassoProblem(a, x, 1e6))
+    code = solve_lasso_batch(a, x, 1e6)[0]
     assert abs(code.objective - np.sqrt(2)) <= 1e-3
     assert np.allclose(code.coeffs, [1 / np.sqrt(2)] * 2, atol=1e-5)
 
@@ -73,7 +71,7 @@ def test_optimality_certificates_on_random_instances():
         lam = float(rng.choice([5.0, 50.0, 500.0]))
         a = _unit_columns(rng, d, m)
         x = _unit_columns(rng, d, 1)[:, 0]
-        code = solve_lasso(LassoProblem(a, x, lam), tol=1e-8)
+        code = solve_lasso_batch(a, x, lam, 1e-8)[0]
         assert kkt_violation(a, x, lam, code) <= 1e-8
         assert duality_gap(a, x, lam, code) <= 1e-8
         assert abs(_objective(a, x, lam, code.coeffs) - code.objective) <= 1e-9
@@ -85,8 +83,8 @@ def test_monotone_in_dictionary():
         a = _unit_columns(rng, 8, 12)
         x = _unit_columns(rng, 8, 1)[:, 0]
         lam = 40.0
-        small = solve_lasso(LassoProblem(a[:, :5], x, lam))
-        big = solve_lasso(LassoProblem(a, x, lam))
+        small = solve_lasso_batch(a[:, :5], x, lam)[0]
+        big = solve_lasso_batch(a, x, lam)[0]
         assert small.objective >= big.objective - 2e-8
 
 
@@ -94,10 +92,10 @@ def test_column_negation_symmetry():
     rng = np.random.default_rng(3)
     a = _unit_columns(rng, 6, 5)
     x = _unit_columns(rng, 6, 1)[:, 0]
-    base = solve_lasso(LassoProblem(a, x, 30.0))
+    base = solve_lasso_batch(a, x, 30.0)[0]
     flipped_dict = a.copy()
     flipped_dict[:, 2] *= -1
-    flipped = solve_lasso(LassoProblem(flipped_dict, x, 30.0))
+    flipped = solve_lasso_batch(flipped_dict, x, 30.0)[0]
     assert abs(base.objective - flipped.objective) <= 1e-10
     assert abs(base.coeffs[2] + flipped.coeffs[2]) <= 1e-8
 
@@ -106,20 +104,9 @@ def test_tiny_coefficients_snapped():
     rng = np.random.default_rng(11)
     a = _unit_columns(rng, 5, 8)
     x = _unit_columns(rng, 5, 1)[:, 0]
-    code = solve_lasso(LassoProblem(a, x, 20.0))
+    code = solve_lasso_batch(a, x, 20.0)[0]
     nz = code.coeffs[code.coeffs != 0.0]
     assert np.all(np.abs(nz) >= 1e-12)
-
-
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        LassoProblem(np.eye(2) * 2.0, np.array([1.0, 0.0]), 10.0)
-    with pytest.raises(ValueError):
-        LassoProblem(np.eye(2), np.array([1.0, 1.0]), 10.0)
-    with pytest.raises(ValueError):
-        LassoProblem(np.eye(2), np.array([1.0, 0.0]), 1.0)
-    with pytest.raises(ValueError):
-        solve_lasso(LassoProblem(np.eye(2), np.array([1.0, 0.0]), 2.0), tol=0.0)
 
 
 def test_no_convergence_reports_gap():
@@ -127,16 +114,16 @@ def test_no_convergence_reports_gap():
     a = _unit_columns(rng, 6, 6)
     x = _unit_columns(rng, 6, 1)[:, 0]
     with pytest.raises(NoConvergence) as err:
-        solve_lasso(LassoProblem(a, x, 100.0), tol=1e-20)
+        solve_lasso_batch(a, x, 100.0, 1e-20)
     assert err.value.gap > 0.75e-20
-    assert err.value.target_index is None
+    assert err.value.target_index == 0
 
 
 def test_batch_singleton_matches_single():
     rng = np.random.default_rng(8)
     a = _unit_columns(rng, 6, 7)
     x = _unit_columns(rng, 6, 1)
-    single = solve_lasso(LassoProblem(a, x[:, 0], 25.0))
+    single = solve_lasso_batch(a, x[:, 0], 25.0)[0]
     batch = solve_lasso_batch(a, x, 25.0)
     assert len(batch) == 1
     assert np.array_equal(batch[0].coeffs, single.coeffs)
@@ -158,7 +145,7 @@ def test_batch_order_and_failure_index():
     xs = _unit_columns(rng, 6, 4)
     codes = solve_lasso_batch(a, xs, 30.0)
     for j, code in enumerate(codes):
-        alone = solve_lasso(LassoProblem(a, xs[:, j], 30.0))
+        alone = solve_lasso_batch(a, xs[:, j], 30.0)[0]
         assert abs(code.objective - alone.objective) <= 1e-9
     with pytest.raises(NoConvergence) as err:
         solve_lasso_batch(a, xs, 30.0, tol=1e-20)
@@ -186,7 +173,7 @@ def test_full_step_that_crosses_zero_is_not_stationary():
     # is 2/lam
     X = synth_union_of_subspaces(SubspaceSpec(12, (4, 4, 4), (20, 20, 20), 0.0, 2)).points
     a, x, lam = X[:, [50, 58, 5]], X[:, 29], 1e4
-    code = solve_lasso(LassoProblem(a, x, lam))
+    code = solve_lasso_batch(a, x, lam)[0]
     assert kkt_violation(a, x, lam, code) <= 1e-8
     assert duality_gap(a, x, lam, code) <= 1e-8
     # the 4-sweep solution of the solver that took the crossing as stationary
@@ -211,10 +198,8 @@ def test_repeated_columns_with_random_signs_are_certified():
         lam = (2.0, 10.0, 100.0)[case % 3]
         codes = solve_lasso_batch(a, x, lam)
         for j, code in enumerate(codes):
-            # the stored residual is taken as given by the certificates
-            fresh = SparseCode(code.coeffs, x[:, j] - a @ code.coeffs, code.objective)
-            assert kkt_violation(a, x[:, j], lam, fresh) <= 1e-8
-            assert duality_gap(a, x[:, j], lam, fresh) <= 1e-8
+            assert kkt_violation(a, x[:, j], lam, code) <= 1e-8
+            assert duality_gap(a, x[:, j], lam, code) <= 1e-8
 
 
 def test_a_one_column_path_takes_one_round(monkeypatch):
@@ -239,19 +224,46 @@ def test_the_first_join_prefers_a_positive_correlation_then_the_lower_index():
     assert np.count_nonzero(codes.coeffs) == 2
 
 
-def test_problem_rejects_non_finite():
-    with pytest.raises(ValueError):
-        LassoProblem(np.eye(2), np.array([np.nan, 1.0]), 10.0)
-    with pytest.raises(ValueError):
-        LassoProblem(np.array([[1.0, np.nan], [0.0, 0.0]]), np.array([1.0, 0.0]), 10.0)
-
-
 def test_batch_rejects_non_finite():
     x = np.array([[1.0, np.nan], [0.0, 0.0]])
     with pytest.raises(ValueError):
         solve_lasso_batch(np.eye(2), x, 10.0)
     with pytest.raises(ValueError):
         solve_lasso_batch(x, np.eye(2), 10.0)
+
+
+_X = np.array([0.6, 0.8])
+
+
+@pytest.mark.parametrize("dictionary, targets, lam, tol, name", [
+    (np.zeros((2, 0)), np.array([np.nan, 1.0]), 10.0, 1e-8, "targets"),
+    (np.zeros((2, 0)), 3 * _X, 10.0, 1e-8, "targets"),
+    (np.array([1.0, 0.0]), _X, 10.0, 1e-8, "dictionary"),
+    (np.eye(2), np.eye(2)[:, :, None], 10.0, 1e-8, "targets"),
+    (np.eye(3), _X, 10.0, 1e-8, "targets"),
+    (np.eye(2) * 2.0, _X, 10.0, 1e-8, "dictionary"),
+    (np.eye(2), np.array([1.0, 1.0]), 10.0, 1e-8, "targets"),
+    (np.eye(2), _X, 1.0, 1e-8, "lam"),
+    (np.eye(2), _X, 2.0, 0.0, "tol"),
+    (np.eye(2), np.array([np.nan, 1.0]), 10.0, 1e-8, "targets"),
+    (np.array([[1.0, np.nan], [0.0, 0.0]]), _X, 10.0, 1e-8, "dictionary"),
+], ids=["nan-target-empty-dict", "3x-target-empty-dict", "1d-dict", "3d-targets", "d-mismatch",
+        "non-unit-dict", "non-unit-target", "lam", "tol", "nan-target", "nan-dict"])
+def test_the_solver_rejects_bad_input_at_its_boundary(dictionary, targets, lam, tol, name):
+    with pytest.raises(ValueError, match=name):
+        solve_lasso_batch(dictionary, targets, lam, tol)
+
+
+def test_certificates_recompute_the_residual_from_the_target():
+    # correct coefficients with a zero stored residual; certificates read
+    # from the stored residual would give KKT 1/lam and gap 1.80
+    rng = np.random.default_rng(3)
+    a = _unit_columns(rng, 6, 5)
+    x = _unit_columns(rng, 6, 1)[:, 0]
+    code = solve_lasso_batch(a, x, 30.0)[0]
+    wiped = SparseCode(code.coeffs, np.zeros(6), code.objective)
+    assert kkt_violation(a, x, 30.0, wiped) <= 1e-8
+    assert duality_gap(a, x, 30.0, wiped) <= 1e-8
 
 
 def test_cd_core_does_not_solve_a_non_finite_target():
@@ -270,7 +282,7 @@ def test_unreachable_tolerance_fails_at_once():
     x = _unit_columns(rng, 6, 3)
     start = time.perf_counter()
     with pytest.raises(NoConvergence):
-        solve_lasso(LassoProblem(a, x[:, 0], 100.0), tol=1e-20)
+        solve_lasso_batch(a, x[:, 0], 100.0, 1e-20)
     with pytest.raises(NoConvergence):
         solve_lasso_batch(a, x, 100.0, tol=1e-20)
     assert time.perf_counter() - start < 2.0
@@ -278,16 +290,15 @@ def test_unreachable_tolerance_fails_at_once():
 
 @pytest.mark.parametrize("lam, tol", [(np.inf, 1e-8), (np.nan, 1e-8), (1.0, 1e-8), (10.0, 0.0),
                                       (10.0, -1.0), (10.0, np.nan), (10.0, np.inf)])
-@pytest.mark.parametrize("entry", ["solve_lasso", "solve_lasso_batch", "ffs_naive", "ffs_lazy",
-                                   "f_cost", "F_cost"])
+@pytest.mark.parametrize("entry", ["solve_lasso_batch", "ffs_naive", "ffs_lazy", "f_cost",
+                                   "F_cost"])
 def test_bad_lam_and_tol_are_rejected_at_every_entry_point(entry, lam, tol):
     from subspace_exemplars import F_cost, f_cost, ffs_lazy, ffs_naive
 
     data = synth_union_of_subspaces(SubspaceSpec(6, (2, 2), (5, 5), 0.0, 0))
     x = data.points[:, 0]
     calls = {
-        "solve_lasso": lambda: solve_lasso(LassoProblem(data.points[:, 1:4], x, lam), tol=tol),
-        "solve_lasso_batch": lambda: solve_lasso_batch(data.points[:, 1:4], data.points, lam, tol),
+            "solve_lasso_batch": lambda: solve_lasso_batch(data.points[:, 1:4], data.points, lam, tol),
         "ffs_naive": lambda: ffs_naive(data, lam, 3, tol=tol),
         "ffs_lazy": lambda: ffs_lazy(data, lam, 3, tol=tol),
         "f_cost": lambda: f_cost(x, [1, 2], data, lam, tol),

@@ -181,6 +181,18 @@ def test_members_and_their_negations_sit_exactly_on_the_floor():
             assert np.all(per[on] == cost_floor(lam)), (seed, lam)
 
 
+def test_f_cost_of_an_exemplar_or_its_negation_is_the_floor_exactly():
+    # on the README tour data a solved cost lands 6e-16 to 2e-14 below the
+    # floor on all 8 exemplars
+    data = synth_union_of_subspaces(SubspaceSpec(10, (3, 3), (60, 140), seed=1))
+    lam = 100.0
+    sel = list(ffs_lazy(data, lam, 8, seed=7).indices)
+    per = F_cost(sel, data, lam).per_point
+    for j in sel:
+        for x in (data.points[:, j], -data.points[:, j]):
+            assert f_cost(x, sel, data, lam) == cost_floor(lam) == per[j]
+
+
 def test_dual_lower_bound_never_exceeds_the_cost():
     # selections of k < d points from a lower-dimensional subspace, often
     # with more points than its dimension or a point and its negation, so
