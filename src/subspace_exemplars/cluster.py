@@ -261,8 +261,6 @@ def esc_pipeline(
     zero = norms < _ZERO_NORM
     labels = np.empty(data.count, dtype=int)
     keep = np.flatnonzero(~zero)
-    if not keep.size:
-        raise ZeroCode(int(np.flatnonzero(zero)[0]))
     if zero.any():
         warnings.warn(
             f"{int(zero.sum())} points have zero codes at lam={lam}; "

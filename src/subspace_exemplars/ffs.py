@@ -197,8 +197,11 @@ def select(
 ) -> ExemplarSet:
     """k exemplars by one of METHODS: "ffs" (ffs_lazy), "ffs-naive" or "random".
 
-    The random baseline ignores lam, tol and first_index.
+    Every method needs k in [1, N].  The random baseline ignores lam, tol
+    and first_index.
     """
+    if not 1 <= k <= data.count:
+        raise ValueError(f"k={k} must be in [1, N={data.count}]")
     if method == "ffs":
         return ffs_lazy(data, lam, k, seed, tol, first_index)
     if method == "ffs-naive":

@@ -182,24 +182,23 @@ def covering_radius(points_on_sphere: np.ndarray, grid_resolution: float) -> flo
     return float(np.arccos(best.min()))
 
 
-def _coarse_to_fine_angles(resolution: float, objective, maximize: bool) -> float:
-    """Extremize a per-angle objective on [0, pi) by two-stage grid search.
+def _coarse_to_fine_angles(resolution: float, objective) -> float:
+    """Maximize a per-angle objective on [0, pi) by two-stage grid search.
 
     The hull gauge is piecewise smooth with pieces far wider than the coarse
     step, so refining around the best few coarse angles reaches the same
-    extremum as a full fine sweep.
+    maximum as a full fine sweep.
     """
-    sign = 1.0 if maximize else -1.0
     coarse = max(resolution, 0.02)
     angles = np.arange(0.0, math.pi, coarse)
-    vals = np.array([sign * objective(t) for t in angles])
+    vals = np.array([objective(t) for t in angles])
     best = -math.inf
     for i in np.argsort(vals)[-3:]:
         lo, hi = angles[i] - coarse, angles[i] + coarse
         fine = np.arange(lo, hi + 0.5 * resolution, resolution)
         for t in fine:
-            best = max(best, sign * objective(t))
-    return sign * best
+            best = max(best, objective(t))
+    return best
 
 
 def sup_gauge_on_sphere(hull: SymmetricHull, grid_resolution: float) -> float:
@@ -210,7 +209,6 @@ def sup_gauge_on_sphere(hull: SymmetricHull, grid_resolution: float) -> float:
     return _coarse_to_fine_angles(
         grid_resolution,
         lambda t: minkowski_functional(hull, np.array([math.cos(t), math.sin(t)])),
-        maximize=True,
     )
 
 
@@ -229,7 +227,7 @@ def sup_l1_cost_on_sphere(points: np.ndarray, grid_resolution: float) -> float:
         v, _ = l1_min_exact(a, np.array([math.cos(t), math.sin(t)]))
         return v
 
-    return _coarse_to_fine_angles(grid_resolution, value, maximize=True)
+    return _coarse_to_fine_angles(grid_resolution, value)
 
 
 def inradius(hull: SymmetricHull, grid_resolution: float) -> float:

@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import lasso
 from .dataset import DataMatrix
-from .lasso import DEFAULT_TOL, NoConvergence, _check_params, _check_unit, _solve_costs
+from .lasso import DEFAULT_TOL, NoConvergence, _check_params, _check_unit
 
 __all__ = ["CostReport", "TooFewPoints", "f_cost", "F_cost", "lambda_threshold", "cost_floor"]
 
@@ -84,8 +85,8 @@ class _CostEvaluator:
         if todo.size:
             A = self.points[:, sel]
             try:
-                _, costs = _solve_costs(A.T @ A, A.T @ self.points[:, todo], self.xnorm2[todo],
-                                        self.lam, self.tol)
+                costs = lasso._cd_core(A.T @ A, A.T @ self.points[:, todo], self.xnorm2[todo],
+                                       self.lam, self.tol)[4]
             except NoConvergence as err:
                 raise NoConvergence(err.gap, int(todo[err.target_index])) from None
             out[free] = costs[back]
@@ -122,8 +123,9 @@ def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
     """Cost of representing the unit vector x by the indexed exemplar columns.
 
     Returns exactly lam/2 for an empty exemplar set (the defining
-    convention) and exactly the floor when x equals an exemplar column or
-    its negation, as F_cost does.  Raises ValueError for an index outside [0, N), or for a
+    convention); otherwise prices x with the evaluator F_cost and FFS use,
+    so it is exactly the floor when x equals an exemplar column or its
+    negation.  Raises ValueError for an index outside [0, N), or for a
     target or exemplar column that is not a unit vector in R^D.
     """
     _check_params(lam, tol)
@@ -134,11 +136,9 @@ def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
     _check_unit(x, "target")
     if not sel:
         return 0.5 * lam
-    A = data.points[:, sel]
-    _check_unit(A, "exemplar columns")
-    if ((A == x) | (A == -x)).all(axis=0).any():
-        return cost_floor(lam)
-    return float(_solve_costs(A.T @ A, A.T @ x, (x * x).sum(axis=0), lam, tol)[1][0])
+    # x is point 0, so a NoConvergence failure names target 0
+    ev = _CostEvaluator(DataMatrix(np.column_stack([x, data.points[:, sel]])), lam, tol)
+    return float(ev.costs(list(range(1, len(sel) + 1)), np.array([0]))[0])
 
 
 def F_cost(exemplars: Sequence[int], data: DataMatrix, lam: float,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subspace_exemplars.cli import main
+from subspace_exemplars.ffs import METHODS
 
 
 def _run(*args):
@@ -305,6 +306,18 @@ def test_classify_rejects_a_negative_exemplar_class(dataset, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "-1" in err
     assert not labels.exists() and not metrics.exists()
+
+
+@pytest.mark.parametrize("k", [0, 101])
+@pytest.mark.parametrize("method", METHODS)
+def test_select_rejects_k_outside_1_to_n_for_every_method(tmp_path, capsys, method, k):
+    data, out = tmp_path / "data.csv", tmp_path / "sel.json"
+    _run("synth", "--D", 5, "--dims", "3,3", "--counts", "10,90", "--seed", 7, "--out", data)
+    rc = _run("select", "--data", data, "--with-labels", "--k", k, "--method", method,
+              "--out", out)
+    assert rc == 2
+    assert f"k={k} must be in [1, N=100]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_select_rejects_a_negative_tol(dataset, tmp_path, capsys):

@@ -409,8 +409,7 @@ def test_pipeline_rejects_a_bad_neighbour_count_before_selection(monkeypatch, t)
 
 @pytest.mark.parametrize("selection", METHODS)
 def test_pipeline_rejects_a_zero_exemplar_count_before_selection(monkeypatch, selection):
-    # the random selector accepts k=0, and an empty selection would only
-    # fail later, as a ZeroCode
+    # k is checked with the other arguments, before any selection runs
     from subspace_exemplars import cluster
 
     data = synth_union_of_subspaces(SubspaceSpec(6, (2,), (8,), 0.0, 0))

@@ -157,15 +157,17 @@ def test_lazy_equals_naive_with_exact_ties(seed, d, n_base, copies, lam, draw):
 
 
 def test_lazy_makes_one_solver_call_per_step(monkeypatch):
-    from subspace_exemplars import selfrep
+    # patched on the lasso module, as the benchmark hooks it: the count
+    # also pins that FFS looks the solver up there at call time
+    from subspace_exemplars import lasso
 
     calls = []
-    solve_costs = selfrep._solve_costs
+    cd_core = lasso._cd_core
 
     def counted(*args):
         calls.append(1)
-        return solve_costs(*args)
+        return cd_core(*args)
 
-    monkeypatch.setattr(selfrep, "_solve_costs", counted)
+    monkeypatch.setattr(lasso, "_cd_core", counted)
     ffs_lazy(_random_data(16, 6, 70), 100.0, 9, seed=3)
     assert len(calls) == 9  # the initial evaluation and one call per step
