@@ -17,7 +17,7 @@ import numpy as np
 from .cluster import ClusterAssignment
 from .dataset import DataMatrix
 from .ffs import ExemplarSet
-from .lasso import DEFAULT_TOL, solve_lasso_batch
+from .lasso import solve_lasso_batch
 
 __all__ = ["LabeledExemplars", "src_classify"]
 
@@ -83,12 +83,7 @@ class LabeledExemplars:
         return cls.from_labels(idx, [int(data.labels[i]) for i in idx])
 
 
-def src_classify(
-    data: DataMatrix,
-    exemplars: LabeledExemplars,
-    lam: float,
-    tol: float = DEFAULT_TOL,
-) -> ClusterAssignment:
+def src_classify(data: DataMatrix, exemplars: LabeledExemplars, lam: float) -> ClusterAssignment:
     """Classify every point by its minimum per-class reconstruction residual.
 
     Exemplar points keep their given labels (they are the supervision); ties
@@ -98,7 +93,7 @@ def src_classify(
         raise ValueError("need at least one labeled exemplar")
     sel = list(exemplars.indices)
     A = data.points[:, sel]
-    C = solve_lasso_batch(A, data.points, lam, tol).coeffs
+    C = solve_lasso_batch(A, data.points, lam).coeffs
 
     classes = exemplars.classes
     ex_labels = np.array([exemplars.class_of[i] for i in sel])

@@ -39,10 +39,7 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--lambda", dest="lam", type=float, default=100.0)
         q.add_argument("--k", type=int, required=True, help="number of exemplars")
         q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--tol", type=float, default=1e-8)
         q.add_argument("--method", choices=METHODS, default="ffs")
-        q.add_argument("--first-index", type=int, default=None,
-                       help="override the seeded random first exemplar")
 
     sel = sub.add_parser("select", help="select exemplars, write a selection JSON")
     common(sel)
@@ -146,7 +143,7 @@ def _load_data(args):
 def _select(data, args):
     from .ffs import select
 
-    return select(data, args.method, args.lam, args.k, args.seed, args.tol, args.first_index)
+    return select(data, args.method, args.lam, args.k, args.seed)
 
 
 def _cmd_synth(args) -> int:
@@ -201,8 +198,8 @@ def _cmd_cluster(args) -> int:
 
     data = _load_data(args)
     assignment, exemplars, codes = esc_pipeline(
-        data, args.lam, args.k, args.t, args.n_clusters, args.seed, args.tol,
-        selection=args.method, first_index=args.first_index, return_details=True,
+        data, args.lam, args.k, args.t, args.n_clusters, args.seed,
+        selection=args.method, return_details=True,
     )
     _write_label_file(assignment.labels, args.labels_out)
     report = _metrics_report(data.labels, assignment.labels, exemplars.indices, codes.coeffs)
@@ -224,7 +221,7 @@ def _cmd_classify(args) -> int:
         raise ValueError("no label column and no --exemplar-labels file")
     exemplar_set = _select(data, args)
     lab = LabeledExemplars.from_labels(list(exemplar_set.indices), labels)
-    assignment = src_classify(data, lab, args.lam, args.tol)
+    assignment = src_classify(data, lab, args.lam)
     _write_label_file(assignment.labels, args.labels_out)
     report = _metrics_report(data.labels, assignment.labels, exemplar_set.indices)
     doc = {"config": _config_dict(args), "metrics": report,

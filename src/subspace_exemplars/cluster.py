@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import DataMatrix
 from .ffs import select
-from .lasso import DEFAULT_TOL, solve_lasso_batch
+from .lasso import solve_lasso_batch
 
 __all__ = [
     "AffinityGraph",
@@ -216,9 +216,7 @@ def esc_pipeline(
     t: int,
     n_clusters: int,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     selection: str = "ffs",
-    first_index: int | None = None,
     return_details: bool = False,
 ):
     """Full exemplar-based clustering.
@@ -251,11 +249,11 @@ def esc_pipeline(
         raise ValueError(f"t={t} must be >= 1")
     rng = np.random.default_rng(seed)
     seed_sel = int(rng.integers(2**63))
-    exemplars = select(data, selection, lam, k, seed_sel, tol, first_index)
+    exemplars = select(data, selection, lam, k, seed_sel)
 
     sel = list(exemplars.indices)
     A = data.points[:, sel]
-    codes = solve_lasso_batch(A, data.points, lam, tol)
+    codes = solve_lasso_batch(A, data.points, lam)
 
     norms = np.linalg.norm(codes.coeffs, axis=0)
     zero = norms < _ZERO_NORM

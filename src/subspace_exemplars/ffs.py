@@ -95,12 +95,11 @@ class ExemplarSet:
         )
 
 
-def _first_index(data: DataMatrix, lam: float, k: int, seed: int, tol: float,
-                 first_index: int | None) -> int:
+def _first_index(data: DataMatrix, lam: float, k: int, seed: int, first_index: int | None) -> int:
     """Check the arguments; return the first exemplar (a seeded draw by default)."""
     if not 1 <= k <= data.count:
         raise ValueError(f"k={k} must be in [1, N={data.count}]")
-    _check_params(lam, tol)
+    _check_params(lam)
     if first_index is None:
         return int(np.random.default_rng(seed).integers(data.count))
     if not 0 <= first_index < data.count:
@@ -113,7 +112,6 @@ def ffs_naive(
     lam: float,
     k: int,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     first_index: int | None = None,
 ) -> ExemplarSet:
     """Reference selector: evaluate the cost of every point each iteration.
@@ -121,8 +119,8 @@ def ffs_naive(
     Iteration i computes f(x_j, current set) for all N points and appends the
     maximizer (lowest index on ties).  Deterministic given the seed.
     """
-    j0 = _first_index(data, lam, k, seed, tol, first_index)
-    ev = _CostEvaluator(data, lam, tol)
+    j0 = _first_index(data, lam, k, seed, first_index)
+    ev = _CostEvaluator(data, lam)
     selected = [j0]
     trace = [SelectionStep(j0, 0.5 * lam, 0)]
     for _ in range(k - 1):
@@ -140,7 +138,6 @@ def ffs_lazy(
     lam: float,
     k: int,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     first_index: int | None = None,
 ) -> ExemplarSet:
     """Bound-pruned selector; selects exactly the same indices as ffs_naive.
@@ -149,13 +146,13 @@ def ffs_lazy(
     the selection grows, and a feasible point of the lasso dual gives each
     candidate a lower bound without a solve.  The winner costs at least the
     largest lower bound, so a step solves, in one call, only the candidates
-    whose stale bound reaches it less a margin of twice ``tol`` (the
-    certified gap plus rounding); every other point costs less than the
-    winner.  It picks the largest solved cost, lowest index on ties.  The
+    whose stale bound reaches it less a margin of twice ``DEFAULT_TOL``
+    (the certified gap plus rounding); every other point costs less than
+    the winner.  It picks the largest solved cost, lowest index on ties.  The
     solved costs are kept as tighter bounds and counted in ``evals``.
     """
-    j0 = _first_index(data, lam, k, seed, tol, first_index)
-    ev = _CostEvaluator(data, lam, tol)
+    j0 = _first_index(data, lam, k, seed, first_index)
+    ev = _CostEvaluator(data, lam)
     selected = [j0]
     in_set = np.zeros(ev.N, dtype=bool)
     in_set[j0] = True
@@ -166,7 +163,7 @@ def ffs_lazy(
     for _ in range(k - 1):
         scan = np.flatnonzero((lowest | ev.taken(selected)[ev.twin]) & ~in_set)
         top = ev.lower_bounds(selected, scan).max()
-        todo = scan[bounds[scan] >= top - 2.0 * tol]
+        todo = scan[bounds[scan] >= top - 2.0 * DEFAULT_TOL]
         costs = ev.costs(selected, todo)
         bounds[todo] = costs
         pick = int(todo[np.argmax(costs)])  # todo ascends: lowest index on ties
@@ -186,26 +183,17 @@ def select_random(data: DataMatrix, k: int, seed: int = 0) -> ExemplarSet:
     return ExemplarSet(tuple(int(i) for i in idx), k, seed, ())
 
 
-def select(
-    data: DataMatrix,
-    method: str,
-    lam: float,
-    k: int,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    first_index: int | None = None,
-) -> ExemplarSet:
+def select(data: DataMatrix, method: str, lam: float, k: int, seed: int = 0) -> ExemplarSet:
     """k exemplars by one of METHODS: "ffs" (ffs_lazy), "ffs-naive" or "random".
 
-    Every method needs k in [1, N].  The random baseline ignores lam, tol
-    and first_index.
+    Every method needs k in [1, N].  The random baseline ignores lam.
     """
     if not 1 <= k <= data.count:
         raise ValueError(f"k={k} must be in [1, N={data.count}]")
     if method == "ffs":
-        return ffs_lazy(data, lam, k, seed, tol, first_index)
+        return ffs_lazy(data, lam, k, seed)
     if method == "ffs-naive":
-        return ffs_naive(data, lam, k, seed, tol, first_index)
+        return ffs_naive(data, lam, k, seed)
     if method == "random":
         return select_random(data, k, seed)
     raise ValueError(f"unknown selection method {method!r}")

@@ -269,6 +269,17 @@ def _as_points(m) -> np.ndarray:
     return np.asarray(pts, dtype=float)
 
 
+def _code_certificates(dictionary, target, lam, code) -> tuple[float, float]:
+    """(KKT violation, duality gap) of one code, from e = x - A c recomputed once."""
+    A = _as_points(dictionary)
+    if A.shape[1] == 0:
+        return 0.0, 0.0
+    e = _as_points(target).ravel() - A @ code.coeffs
+    corr = (A.T @ e)[:, None]
+    kkt, gap = _certificates(corr, code.coeffs[:, None], np.array([float(e @ e)]), lam)
+    return float(kkt[0]), float(gap[0])
+
+
 def kkt_violation(dictionary, target, lam: float, code: SparseCode) -> float:
     """Largest violation of the subgradient optimality conditions.
 
@@ -276,13 +287,7 @@ def kkt_violation(dictionary, target, lam: float, code: SparseCode) -> float:
     (not from ``code.residual``), the conditions are |a_i . e| <= 1/lam
     where c_i = 0 and a_i . e = sign(c_i)/lam where c_i != 0.
     """
-    A = _as_points(dictionary)
-    if A.shape[1] == 0:
-        return 0.0
-    e = _as_points(target).ravel() - A @ code.coeffs
-    corr = (A.T @ e)[:, None]
-    kkt, _ = _certificates(corr, code.coeffs[:, None], np.zeros(1), lam)
-    return float(kkt[0])
+    return _code_certificates(dictionary, target, lam, code)[0]
 
 
 def duality_gap(dictionary, target, lam: float, code: SparseCode) -> float:
@@ -291,10 +296,4 @@ def duality_gap(dictionary, target, lam: float, code: SparseCode) -> float:
     Like :func:`kkt_violation`, reads e = x - A c from the target and the
     code's coefficients.
     """
-    A = _as_points(dictionary)
-    if A.shape[1] == 0:
-        return 0.0
-    e = _as_points(target).ravel() - A @ code.coeffs
-    corr = (A.T @ e)[:, None]
-    _, gap = _certificates(corr, code.coeffs[:, None], np.array([float(e @ e)]), lam)
-    return float(gap[0])
+    return _code_certificates(dictionary, target, lam, code)[1]

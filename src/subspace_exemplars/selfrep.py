@@ -55,9 +55,10 @@ class _CostEvaluator:
     at its lowest index, and a class with a selected member is at the cost
     floor exactly.  So exact ties stay exact, whichever batch a cost comes
     from.  Holds only the classes and squared norms, no Gram and no codes.
+    Every solve is certified at the solver's default tolerance.
     """
 
-    def __init__(self, data: DataMatrix, lam: float, tol: float):
+    def __init__(self, data: DataMatrix, lam: float):
         X = self.points = data.points
         _check_unit(X, "data columns")
         self.N = data.count
@@ -65,7 +66,7 @@ class _CostEvaluator:
         # moves 6 of criterion 6's 50 selections); 256 columns at a time
         blocks = np.array_split(np.arange(self.N), -(-self.N // 256))
         self.xnorm2 = np.concatenate([np.diag(X[:, b].T @ X[:, b]) for b in blocks])
-        self.lam, self.tol = lam, tol
+        self.lam = lam
         self.floor = cost_floor(lam)
         lead = X[np.argmax(X != 0.0, axis=0), np.arange(self.N)]
         canon = (X * np.where(lead < 0.0, -1.0, 1.0)).T + 0.0  # + 0.0 turns -0.0 into 0.0
@@ -86,7 +87,7 @@ class _CostEvaluator:
             A = self.points[:, sel]
             try:
                 costs = lasso._cd_core(A.T @ A, A.T @ self.points[:, todo], self.xnorm2[todo],
-                                       self.lam, self.tol)[4]
+                                       self.lam, DEFAULT_TOL)[4]
             except NoConvergence as err:
                 raise NoConvergence(err.gap, int(todo[err.target_index])) from None
             out[free] = costs[back]
@@ -118,8 +119,7 @@ class _CostEvaluator:
         return out
 
 
-def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
-           tol: float = DEFAULT_TOL) -> float:
+def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float) -> float:
     """Cost of representing the unit vector x by the indexed exemplar columns.
 
     Returns exactly lam/2 for an empty exemplar set (the defining
@@ -128,7 +128,7 @@ def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
     negation.  Raises ValueError for an index outside [0, N), or for a
     target or exemplar column that is not a unit vector in R^D.
     """
-    _check_params(lam, tol)
+    _check_params(lam)
     sel = _indices(exemplars, data.count)
     x = np.asarray(x, dtype=float).ravel()[:, None]
     if x.shape[0] != data.dim:
@@ -137,21 +137,20 @@ def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float,
     if not sel:
         return 0.5 * lam
     # x is point 0, so a NoConvergence failure names target 0
-    ev = _CostEvaluator(DataMatrix(np.column_stack([x, data.points[:, sel]])), lam, tol)
+    ev = _CostEvaluator(DataMatrix(np.column_stack([x, data.points[:, sel]])), lam)
     return float(ev.costs(list(range(1, len(sel) + 1)), np.array([0]))[0])
 
 
-def F_cost(exemplars: Sequence[int], data: DataMatrix, lam: float,
-           tol: float = DEFAULT_TOL) -> CostReport:
+def F_cost(exemplars: Sequence[int], data: DataMatrix, lam: float) -> CostReport:
     """Worst-case cost over all data points; ties resolved to the lowest index.
 
     Every point equal up to sign to an exemplar is at the floor exactly.
     Raises ValueError for an index outside [0, N) or data off the unit
     sphere.
     """
-    _check_params(lam, tol)
+    _check_params(lam)
     sel = _indices(exemplars, data.count)
-    ev = _CostEvaluator(data, lam, tol)
+    ev = _CostEvaluator(data, lam)
     per = ev.costs(sel, np.arange(data.count)) if sel else np.full(data.count, 0.5 * lam)
     arg = int(np.argmax(per))
     return CostReport(per_point=per, sup_value=float(per[arg]), argmax_index=arg)

@@ -320,12 +320,18 @@ def test_select_rejects_k_outside_1_to_n_for_every_method(tmp_path, capsys, meth
     assert not out.exists()
 
 
-def test_select_rejects_a_negative_tol(dataset, tmp_path, capsys):
-    out = tmp_path / "sel.json"
-    rc = _run("select", "--data", dataset, "--with-labels", "--k", 3, "--tol", -1, "--out", out)
-    assert rc == 2
-    assert "tol" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("option", ["--tol", "--first-index"])
+@pytest.mark.parametrize("command", ["select", "cluster", "classify"])
+def test_solver_settings_are_not_command_line_options(dataset, tmp_path, capsys, command, option):
+    sel, labels, metrics = tmp_path / "sel.json", tmp_path / "p.csv", tmp_path / "m.json"
+    extra = {"select": ["--out", sel],
+             "cluster": ["--n-clusters", 2, "--labels-out", labels, "--metrics-out", metrics],
+             "classify": ["--labels-out", labels, "--metrics-out", metrics]}
+    with pytest.raises(SystemExit) as exc:
+        _run(command, "--data", dataset, "--with-labels", "--k", 3, option, 1, *extra[command])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+    assert not (sel.exists() or labels.exists() or metrics.exists())
 
 
 def test_select_rejects_data_off_the_unit_sphere(tmp_path, capsys):

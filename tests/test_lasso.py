@@ -272,19 +272,28 @@ def test_unreachable_tolerance_fails_at_once():
 @pytest.mark.parametrize("lam, tol", [(np.inf, 1e-8), (np.nan, 1e-8), (1.0, 1e-8), (10.0, 0.0),
                                       (10.0, -1.0), (10.0, np.nan), (10.0, np.inf)])
 @pytest.mark.parametrize("entry", ["solve_lasso_batch", "ffs_naive", "ffs_lazy", "f_cost",
-                                   "F_cost"])
+                                   "F_cost", "esc_pipeline", "src_classify"])
 def test_bad_lam_and_tol_are_rejected_at_every_entry_point(entry, lam, tol):
-    from subspace_exemplars import F_cost, f_cost, ffs_lazy, ffs_naive
+    # tol is a solver setting only: every other entry point has no such
+    # parameter and certifies at the solver's default
+    from subspace_exemplars import (F_cost, LabeledExemplars, esc_pipeline, f_cost, ffs_lazy,
+                                    ffs_naive, src_classify)
 
     data = synth_union_of_subspaces(SubspaceSpec(6, (2, 2), (5, 5), 0.0, 0))
-    x = data.points[:, 0]
+    x, dictionary = data.points[:, 0], data.points[:, 1:4]
+    labeled = LabeledExemplars.from_data([0, 5], data)
     calls = {
-            "solve_lasso_batch": lambda: solve_lasso_batch(data.points[:, 1:4], data.points, lam, tol),
-        "ffs_naive": lambda: ffs_naive(data, lam, 3, tol=tol),
-        "ffs_lazy": lambda: ffs_lazy(data, lam, 3, tol=tol),
-        "f_cost": lambda: f_cost(x, [1, 2], data, lam, tol),
-        "F_cost": lambda: F_cost([1, 2], data, lam, tol),
+        "solve_lasso_batch": lambda **kw: solve_lasso_batch(dictionary, data.points, lam, **kw),
+        "ffs_naive": lambda **kw: ffs_naive(data, lam, 3, **kw),
+        "ffs_lazy": lambda **kw: ffs_lazy(data, lam, 3, **kw),
+        "f_cost": lambda **kw: f_cost(x, [1, 2], data, lam, **kw),
+        "F_cost": lambda **kw: F_cost([1, 2], data, lam, **kw),
+        "esc_pipeline": lambda **kw: esc_pipeline(data, lam, 3, 3, 2, **kw),
+        "src_classify": lambda **kw: src_classify(data, labeled, lam, **kw),
     }
-    name = "lam" if not (np.isfinite(lam) and lam > 1) else "tol"
-    with pytest.raises(ValueError, match=name):
-        calls[entry]()
+    if tol == 1e-8:
+        with pytest.raises(ValueError, match="lam"):
+            calls[entry]()
+    else:
+        with pytest.raises(ValueError if entry == "solve_lasso_batch" else TypeError, match="tol"):
+            calls[entry](tol=tol)

@@ -208,7 +208,7 @@ def test_dual_lower_bound_never_exceeds_the_cost():
         sel = [int(i) for i in rng.choice(d + 3, size=int(rng.integers(1, d)), replace=False)]
         everyone = np.arange(data.count)
         for lam in (1.5, 2.0, 10.0, 100.0, 1e4):
-            ev = _CostEvaluator(data, lam, 1e-8)
+            ev = _CostEvaluator(data, lam)
             lower, cost = ev.lower_bounds(sel, everyone), ev.costs(sel, everyone)
             assert np.all(lower <= cost + 1e-13 * lam), (seed, lam)
             assert np.all(lower[sel] == cost_floor(lam)), (seed, lam)
