@@ -224,7 +224,7 @@ def esc_pipeline(
     Returns the ClusterAssignment, or with ``return_details`` the triple
     (assignment, exemplars, codes), codes being the SparseCodes of every
     point.  ``selection`` is a method of ``ffs.select``: "ffs" (lazy
-    search), "ffs-naive", or "random"; ``seed`` seeds only the selection.
+    search) or "random"; ``seed`` seeds only the selection.
 
     Graph stage: the connected components of the t-NN graph of the
     floor-cleaned codes are the starting groups.  While fewer than

@@ -33,7 +33,7 @@ __all__ = ["METHODS", "SelectionStep", "ExemplarSet", "ffs_naive", "ffs_lazy", "
            "select"]
 
 # the selector names ``select`` dispatches on
-METHODS = ("ffs", "ffs-naive", "random")
+METHODS = ("ffs", "random")
 
 
 @dataclass(frozen=True)
@@ -184,16 +184,16 @@ def select_random(data: DataMatrix, k: int, seed: int = 0) -> ExemplarSet:
 
 
 def select(data: DataMatrix, method: str, lam: float, k: int, seed: int = 0) -> ExemplarSet:
-    """k exemplars by one of METHODS: "ffs" (ffs_lazy), "ffs-naive" or "random".
+    """k exemplars by one of METHODS: "ffs" (ffs_lazy) or "random".
 
-    Every method needs k in [1, N].  The random baseline ignores lam.
+    Every method needs k in [1, N] and a valid lam, which the random baseline
+    then ignores.
     """
     if not 1 <= k <= data.count:
         raise ValueError(f"k={k} must be in [1, N={data.count}]")
+    _check_params(lam)
     if method == "ffs":
         return ffs_lazy(data, lam, k, seed)
-    if method == "ffs-naive":
-        return ffs_naive(data, lam, k, seed)
     if method == "random":
         return select_random(data, k, seed)
     raise ValueError(f"unknown selection method {method!r}")

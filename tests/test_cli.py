@@ -334,6 +334,31 @@ def test_solver_settings_are_not_command_line_options(dataset, tmp_path, capsys,
     assert not (sel.exists() or labels.exists() or metrics.exists())
 
 
+@pytest.mark.parametrize("command", ["select", "cluster", "classify"])
+def test_the_naive_selector_is_not_a_method(dataset, tmp_path, capsys, command):
+    # ffs_naive selects what "ffs" selects, so it is a reference, not a method
+    sel, labels, metrics = tmp_path / "sel.json", tmp_path / "p.csv", tmp_path / "m.json"
+    extra = {"select": ["--out", sel],
+             "cluster": ["--n-clusters", 2, "--labels-out", labels, "--metrics-out", metrics],
+             "classify": ["--labels-out", labels, "--metrics-out", metrics]}
+    with pytest.raises(SystemExit) as exc:
+        _run(command, "--data", dataset, "--with-labels", "--k", 3, "--method", "ffs-naive",
+             *extra[command])
+    assert exc.value.code == 2
+    assert "invalid choice: 'ffs-naive'" in capsys.readouterr().err
+    assert not (sel.exists() or labels.exists() or metrics.exists())
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_select_rejects_a_bad_lambda_for_every_method(dataset, tmp_path, capsys, method):
+    out = tmp_path / "sel.json"
+    rc = _run("select", "--data", dataset, "--with-labels", "--lambda", 0.5, "--k", 3,
+              "--method", method, "--out", out)
+    assert rc == 2
+    assert "lam must be finite and > 1, got 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_select_rejects_data_off_the_unit_sphere(tmp_path, capsys):
     from subspace_exemplars import DataMatrix, save_csv
 

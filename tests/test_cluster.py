@@ -375,8 +375,23 @@ def test_pipeline_deterministic():
 def test_pipeline_rejects_unknown_selection():
     spec = SubspaceSpec(6, (2,), (8,), 0.0, 0)
     data = synth_union_of_subspaces(spec)
-    with pytest.raises(ValueError):
-        esc_pipeline(data, 10.0, 2, 3, 1, selection="kmedoids")
+    # ffs_naive selects what "ffs" selects, so it is a reference, not a method
+    for selection in ("kmedoids", "ffs-naive"):
+        with pytest.raises(ValueError, match="unknown selection method"):
+            esc_pipeline(data, 10.0, 2, 3, 1, selection=selection)
+
+
+def test_pipeline_rejects_a_bad_lambda_before_random_selection(monkeypatch):
+    from subspace_exemplars import ffs
+
+    data = synth_union_of_subspaces(SubspaceSpec(6, (2,), (8,), 0.0, 0))
+
+    def no_selection(*args, **kwargs):
+        raise AssertionError("selection ran")
+
+    monkeypatch.setattr(ffs, "select_random", no_selection)
+    with pytest.raises(ValueError, match="lam"):
+        esc_pipeline(data, 0.5, 2, 3, 1, selection="random")
 
 
 @pytest.mark.parametrize("n_clusters", [0, -1, 9])

@@ -6,6 +6,7 @@ scoring metrics and the geometry oracles load ``scipy.optimize``.  Each check
 runs in a fresh interpreter, since the test session has loaded scipy long ago.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -75,3 +76,16 @@ def test_scipy_backed_calls_return_the_same_values(child):
     # 2*(1/1)(1/2)/(1+1/2) = 2/3, averaged over the 3 true classes
     assert child["fscore"] == pytest.approx(100.0 * (0.8 + 6 / 7 + 2 / 3) / 3, abs=1e-9)
     assert child["l1"] == pytest.approx(1.4, abs=1e-9)
+
+
+def test_the_package_exports_each_modules_public_names_once():
+    modules = [importlib.import_module(f"subspace_exemplars.{name}") for name in
+               ("classify", "cluster", "dataset", "ffs", "geometry", "lasso", "metrics", "selfrep")]
+    names = [name for module in modules for name in module.__all__]
+    assert subspace_exemplars.__all__ == names
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(subspace_exemplars, name) is getattr(module, name)
+    assert subspace_exemplars.select is importlib.import_module("subspace_exemplars.ffs").select
+    assert subspace_exemplars.METHODS == ("ffs", "random")

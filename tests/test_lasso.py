@@ -272,12 +272,13 @@ def test_unreachable_tolerance_fails_at_once():
 @pytest.mark.parametrize("lam, tol", [(np.inf, 1e-8), (np.nan, 1e-8), (1.0, 1e-8), (10.0, 0.0),
                                       (10.0, -1.0), (10.0, np.nan), (10.0, np.inf)])
 @pytest.mark.parametrize("entry", ["solve_lasso_batch", "ffs_naive", "ffs_lazy", "f_cost",
-                                   "F_cost", "esc_pipeline", "src_classify"])
+                                   "F_cost", "esc_pipeline", "src_classify", "select"])
 def test_bad_lam_and_tol_are_rejected_at_every_entry_point(entry, lam, tol):
     # tol is a solver setting only: every other entry point has no such
     # parameter and certifies at the solver's default
     from subspace_exemplars import (F_cost, LabeledExemplars, esc_pipeline, f_cost, ffs_lazy,
                                     ffs_naive, src_classify)
+    from subspace_exemplars.ffs import select
 
     data = synth_union_of_subspaces(SubspaceSpec(6, (2, 2), (5, 5), 0.0, 0))
     x, dictionary = data.points[:, 0], data.points[:, 1:4]
@@ -290,6 +291,8 @@ def test_bad_lam_and_tol_are_rejected_at_every_entry_point(entry, lam, tol):
         "F_cost": lambda **kw: F_cost([1, 2], data, lam, **kw),
         "esc_pipeline": lambda **kw: esc_pipeline(data, lam, 3, 3, 2, **kw),
         "src_classify": lambda **kw: src_classify(data, labeled, lam, **kw),
+        # the random baseline ignores lam, so only the dispatch can reject it
+        "select": lambda **kw: select(data, "random", lam, 3, **kw),
     }
     if tol == 1e-8:
         with pytest.raises(ValueError, match="lam"):
