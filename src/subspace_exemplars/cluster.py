@@ -137,9 +137,32 @@ def _bisect(adj: np.ndarray) -> np.ndarray:
 
 
 def _connected_components(adj: np.ndarray) -> np.ndarray:
-    """Component id of every vertex, numbered in order of the lowest vertex."""
-    from scipy.sparse.csgraph import connected_components
-    return connected_components(adj, directed=False)[1]
+    """Component id of every vertex, numbered in order of the lowest vertex.
+
+    An edge in either triangle of ``adj`` joins its two ends.  Hook and
+    shortcut (Shiloach & Vishkin, 1982): every vertex points to a parent no
+    higher than itself, and a root points to itself.  Each round, every
+    edge hooks the higher of its two roots onto the lower (the lowest, where
+    several edges hook one root), and pointer jumping then flattens every
+    tree to a star.  Pointers only
+    fall, so no cycle forms, and a round that changes no root leaves every
+    edge inside one tree: each tree is then a component, rooted at its
+    lowest vertex.  A root that neither hooks nor is hooked onto in a round
+    saw all its neighbouring trees hook onto lower roots, so it hooks in
+    the next round.  The trees of a component therefore at least halve
+    every two rounds, and the loop ends after O(log N) rounds.
+    """
+    src, dst = np.nonzero(adj)
+    root = np.arange(adj.shape[0])
+    while True:
+        a, b = root[src], root[dst]
+        hooked = root.copy()
+        np.minimum.at(hooked, np.maximum(a, b), np.minimum(a, b))
+        if np.array_equal(hooked, root):
+            return np.unique(root, return_inverse=True)[1]
+        root = hooked
+        while not np.array_equal(root, jumped := root[root]):
+            root = jumped
 
 
 def _span_residuals(points: np.ndarray, groups: np.ndarray):

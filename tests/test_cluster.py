@@ -130,6 +130,51 @@ def test_graph_and_components_match_references_with_exact_ties(base, picks, t):
     assert np.array_equal(_connected_components(adj), _bfs_components(adj))
 
 
+def _path_in_random_order(n=2000):
+    # the hooking loop's longest chain
+    order = np.random.default_rng(0).permutation(n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[order[:-1], order[1:]] = True
+    return adj | adj.T, np.zeros(n)
+
+
+def _star_on_highest_vertex(n=50):
+    adj = np.zeros((n, n), dtype=bool)
+    adj[-1, :-1] = adj[:-1, -1] = True
+    return adj, np.zeros(n)
+
+
+def _interleaved(n=40):
+    # even and odd vertices form two chains, numbered by their lowest vertex
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n - 2), np.arange(2, n)] = True
+    return adj | adj.T, np.arange(n) % 2
+
+
+def _upper_triangle_only(n=60):
+    adj = np.triu(np.random.default_rng(1).random((n, n)) < 0.04, 1)
+    return adj, None
+
+
+@pytest.mark.parametrize("shape", [
+    _path_in_random_order,
+    _star_on_highest_vertex,
+    lambda: (np.zeros((7, 7), dtype=bool), np.arange(7)),
+    lambda: (np.zeros((1, 1), dtype=bool), np.zeros(1)),
+    _interleaved,
+    _upper_triangle_only,
+], ids=["path", "star", "isolated", "single", "interleaved", "upper-triangle"])
+def test_components_of_shapes_the_hypothesis_test_does_not_reach(shape):
+    from scipy.sparse.csgraph import connected_components
+
+    adj, expected = shape()
+    comp = _connected_components(adj)
+    assert np.array_equal(comp, _bfs_components(adj | adj.T))
+    assert np.array_equal(comp, connected_components(adj, directed=False)[1])
+    if expected is not None:
+        assert np.array_equal(comp, expected)
+
+
 def test_no_wrong_connections_on_independent_subspaces():
     # the affinity built from search-selected, floor-cleaned codes (the
     # pipeline's graph) never links different classes

@@ -1,9 +1,9 @@
 """The import contract: scipy loads only at the call that needs it.
 
-Importing the package, selecting and classifying load no scipy module;
-clustering loads ``scipy.sparse.csgraph`` and no ``scipy.optimize``; only the
-scoring metrics and the geometry oracles load ``scipy.optimize``.  Each check
-runs in a fresh interpreter, since the test session has loaded scipy long ago.
+Importing the package, selecting, classifying and clustering load no scipy
+module; only the scoring metrics and the geometry oracles load
+``scipy.optimize``.  Each check runs in a fresh interpreter, since the test
+session has loaded scipy long ago.
 """
 
 import importlib
@@ -64,9 +64,8 @@ def test_selection_and_classification_load_no_scipy(child):
     assert child["classify"] == []
 
 
-def test_clustering_loads_csgraph_but_not_optimize(child):
-    assert "scipy.sparse.csgraph" in child["cluster"]
-    assert not any(m.startswith("scipy.optimize") for m in child["cluster"])
+def test_clustering_loads_no_scipy(child):
+    assert child["cluster"] == []
 
 
 def test_scipy_backed_calls_return_the_same_values(child):
