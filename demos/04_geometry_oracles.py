@@ -1,15 +1,19 @@
 """Geometric identities behind the selection objective, checked numerically.
 
-For exemplars X0 on the unit circle, three independently computed
-quantities coincide:
+For exemplars X0 on the unit circle, three quantities coincide:
 
   * the worst-case exact L1 representation cost over the circle,
   * one over the inradius of conv(+-X0),
   * one over the cosine of the covering radius of +-X0.
 
-Also verifies on random instances in R^3 that the Minkowski functional of
-conv(+-X0) equals the exact L1 minimization value (two different linear
-programs).
+The first two solve the same linear program through two entry points; the
+covering radius is a grid search with no linear program, the independent
+route.
+
+Also checks on random instances in R^3 that the Minkowski functional of
+conv(+-X0) equals the exact L1 minimization value.  Both solve
+min sum(u) subject to [X0, -X0] u = x, u >= 0, so this checks that the two
+entry points agree.
 """
 
 import math

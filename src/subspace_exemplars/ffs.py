@@ -4,7 +4,8 @@ Both selectors grow an exemplar set one point at a time, always adding the
 currently worst-represented point (largest self-representation cost).
 ``ffs_naive`` reevaluates every point at every iteration; ``ffs_lazy``
 exploits the monotonicity of the cost in the exemplar set (lazy greedy,
-Minoux 1978), keeping the last known cost of each point as an upper bound.
+Minoux 1978), keeping the last known cost of each point as an upper bound;
+the first are the zero code's costs 0.5 lam ||x||^2, so no pass computes them.
 Each step bounds every candidate's cost from below by a feasible point of
 the lasso dual (gap-safe screening, Fercoq, Gramfort & Salmon 2015) and
 solves, in one solver call, only the points whose upper bound reaches the
@@ -13,9 +14,10 @@ simply performs far fewer cost evaluations.  Every evaluation goes through
 the stateless evaluator of :mod:`subspace_exemplars.selfrep` and solves from
 zero, so a cost depends only on the point and the current selection.
 
-The first exemplar is a seeded uniform draw (overridable for reproducible
-worked examples); all later choices break ties toward the lowest point
-index.  ``select`` picks a selector, or the random baseline, by name.
+The first exemplar is a seeded uniform draw (``ffs_naive`` also takes it as
+``first_index``, to replay an ``ffs_lazy`` run); all later choices break ties
+toward the lowest point index.  ``select`` picks a selector, or the random
+baseline, by name.
 """
 
 from __future__ import annotations
@@ -133,31 +135,28 @@ def ffs_naive(
     return ExemplarSet(tuple(selected), k, seed, tuple(trace), lam)
 
 
-def ffs_lazy(
-    data: DataMatrix,
-    lam: float,
-    k: int,
-    seed: int = 0,
-    first_index: int | None = None,
-) -> ExemplarSet:
+def ffs_lazy(data: DataMatrix, lam: float, k: int, seed: int = 0) -> ExemplarSet:
     """Bound-pruned selector; selects exactly the same indices as ffs_naive.
 
     Stale costs are valid upper bounds because the cost is non-increasing as
-    the selection grows, and a feasible point of the lasso dual gives each
-    candidate a lower bound without a solve.  The winner costs at least the
-    largest lower bound, so a step solves, in one call, only the candidates
-    whose stale bound reaches it less a margin of twice ``DEFAULT_TOL``
-    (the certified gap plus rounding); every other point costs less than
-    the winner.  It picks the largest solved cost, lowest index on ties.  The
-    solved costs are kept as tighter bounds and counted in ``evals``.
+    the selection grows; the first are the zero code's costs, bit for bit as
+    the solver prices them, so k = 1 makes no solver call.  A feasible point
+    of the lasso dual gives each candidate a lower bound without a solve.
+    The winner costs at least the largest lower bound, so a step solves, in
+    one call, only the candidates whose stale bound reaches it less a margin
+    of twice ``DEFAULT_TOL`` (the certified gap plus rounding); every other
+    point costs less than the winner.  It picks the largest solved cost,
+    lowest index on ties.  The solved costs are kept as tighter bounds and
+    counted in ``evals``.
     """
-    j0 = _first_index(data, lam, k, seed, first_index)
+    j0 = _first_index(data, lam, k, seed, None)
     ev = _CostEvaluator(data, lam)
     selected = [j0]
     in_set = np.zeros(ev.N, dtype=bool)
     in_set[j0] = True
-    bounds = ev.costs(selected, np.arange(ev.N))  # N initialization evaluations
-    trace = [SelectionStep(j0, 0.5 * lam, ev.N)]
+    bounds = 0.5 * lam * ev.xnorm2  # what lasso._cd_core charges for c = 0
+    bounds[ev.twin == ev.twin[j0]] = ev.floor
+    trace = [SelectionStep(j0, 0.5 * lam, 0)]
     # a point above its class's lowest index loses the tie to it until the floor
     lowest = ev.twin == np.arange(ev.N)
     for _ in range(k - 1):

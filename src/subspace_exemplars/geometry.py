@@ -1,16 +1,18 @@
 """Brute-force geometric oracles.
 
-These routines verify, at desk scale and through independent computational
-routes, the identities tying the self-representation machinery to convex
-geometry:
+These routines check, at desk scale, the identities tying the
+self-representation machinery to convex geometry:
 
 * exact equality-constrained L1 minimization (the lam -> infinity limit of
   the lasso objective), solved as a linear program;
 * the Minkowski functional (gauge) of the symmetrized convex hull of an
-  exemplar set, solved as a convex-combination membership LP, which must
-  equal the L1 minimum on the hull's span;
+  exemplar set, min sum(u) subject to [X0, -X0] u = x, u >= 0.  That is the
+  same linear program as the L1 minimization, so the eq15 oracle, which
+  compares the two, checks that the two entry points agree;
 * covering radius and inradius on the circle and 2-sphere by deterministic
   grid search, tying the worst-case cost to 1/cos of the covering radius.
+  The covering-radius grid solves no linear program: it is the independent
+  route.
 
 The LPs are infeasibility-aware: a target outside the span yields the +inf
 sentinel rather than an error.

@@ -37,10 +37,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 
-# coefficients below this magnitude are snapped to zero after convergence so
-# sparsity patterns are stable
-SNAP_EPS = 1e-12
-
 _UNIT_TOL = 1e-10
 
 # the homotopy lets no column join whose correlation moves with the level
@@ -257,8 +253,7 @@ def solve_lasso_batch(dictionary, targets, lam: float, tol: float = DEFAULT_TOL)
         return SparseCodes(np.zeros((0, X.shape[1])), X.copy(), np.full(X.shape[1], 0.5 * lam))
     _check_unit(A, "dictionary columns")
     C = _cd_core(A.T @ A, A.T @ X, (X * X).sum(axis=0), lam, tol)[0]
-    # snap tiny coefficients, recompute residuals and objectives exactly
-    C = np.where(np.abs(C) < SNAP_EPS, 0.0, C)
+    # residuals and objectives recomputed exactly from the certified code
     E = X - A @ C
     obj = np.abs(C).sum(axis=0) + 0.5 * lam * (E * E).sum(axis=0)
     return SparseCodes(C, E, obj)

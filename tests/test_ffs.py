@@ -68,10 +68,17 @@ def test_lazy_equals_naive(seed):
     assert naive.total_evals == (k - 1) * data.count
 
 
-def test_lazy_k1_initialization_only():
+def test_lazy_k1_initialization_only(monkeypatch):
+    # the zero code's cost bounds every point: k = 1 solves nothing
+    from subspace_exemplars import lasso
+
+    def no_solve(*args):
+        raise AssertionError("k = 1 made a solver call")
+
+    monkeypatch.setattr(lasso, "_cd_core", no_solve)
     data = _random_data(9, 5, 25)
     out = ffs_lazy(data, 50.0, 1, seed=4)
-    assert out.total_evals == 25
+    assert out.total_evals == 0
     assert len(out.indices) == 1
 
 
@@ -101,6 +108,9 @@ def test_first_index_override_and_validation():
         ffs_naive(data, 10.0, 0, seed=0)
     with pytest.raises(ValueError):
         ffs_naive(data, 1.0, 2, seed=0)
+    # ffs_lazy always starts from its seeded draw
+    with pytest.raises(TypeError):
+        ffs_lazy(data, 10.0, 2, seed=0, first_index=7)
 
 
 def test_json_round_trip():
@@ -130,8 +140,26 @@ def test_duplicate_points_still_select_distinct_indices():
     data = normalize_columns(DataMatrix(pts))
     out = ffs_naive(data, 10.0, 4, seed=0, first_index=0)
     assert sorted(out.indices) == [0, 1, 2, 3]
-    lazy = ffs_lazy(data, 10.0, 4, seed=0, first_index=0)
-    assert lazy.indices == out.indices
+    lazy = ffs_lazy(data, 10.0, 4, seed=1)  # draws point 1, a duplicate
+    assert lazy.indices == ffs_naive(data, 10.0, 4, first_index=lazy.indices[0]).indices
+    assert sorted(lazy.indices) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("lam", [1e2, 1e4])
+def test_lazy_equals_naive_off_unit_norm(lam):
+    # two orthogonal 3-dim blocks in R^6, columns 5e-11 off the unit sphere
+    # (the data check allows 1e-10): after the first draw every point of the
+    # other block costs the zero code's 0.5 lam ||x||^2, above lam / 2, and
+    # so does its dual lower bound, so a start at lam / 2 would prune them all
+    rng = np.random.default_rng(18)
+    pts = np.zeros((6, 24))
+    pts[:3, :12] = rng.standard_normal((3, 12))
+    pts[3:, 12:] = rng.standard_normal((3, 12))
+    pts *= (1.0 + 5e-11) / np.linalg.norm(pts, axis=0)
+    data = DataMatrix(pts[:, rng.permutation(24)])
+    for seed in range(4):
+        lazy = ffs_lazy(data, lam, 8, seed=seed)
+        assert lazy.indices == ffs_naive(data, lam, 8, first_index=lazy.indices[0]).indices
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -170,4 +198,4 @@ def test_lazy_makes_one_solver_call_per_step(monkeypatch):
 
     monkeypatch.setattr(lasso, "_cd_core", counted)
     ffs_lazy(_random_data(16, 6, 70), 100.0, 9, seed=3)
-    assert len(calls) == 9  # the initial evaluation and one call per step
+    assert len(calls) == 8  # one call per step after the first draw

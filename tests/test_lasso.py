@@ -99,13 +99,26 @@ def test_column_negation_symmetry():
     assert abs(base.coeffs[2] + flipped.coeffs[2]) <= 1e-8
 
 
-def test_tiny_coefficients_snapped():
+def test_returns_the_certified_coefficients(monkeypatch):
+    # the coefficients that _cd_core certified, bit for bit, a tiny one too
+    from subspace_exemplars import lasso
+
+    certified = []
+    cd_core = lasso._cd_core
+
+    def recorded(*args):
+        C, *rest = cd_core(*args)
+        C[0, 0] = 1e-13
+        certified.append(C.copy())
+        return (C, *rest)
+
+    monkeypatch.setattr(lasso, "_cd_core", recorded)
     rng = np.random.default_rng(11)
     a = _unit_columns(rng, 5, 8)
-    x = _unit_columns(rng, 5, 1)[:, 0]
-    code = solve_lasso_batch(a, x, 20.0)[0]
-    nz = code.coeffs[code.coeffs != 0.0]
-    assert np.all(np.abs(nz) >= 1e-12)
+    x = _unit_columns(rng, 5, 3)
+    codes = solve_lasso_batch(a, x, 20.0)
+    assert len(certified) == 1
+    assert codes.coeffs.tobytes() == certified[0].tobytes()
 
 
 def test_no_convergence_reports_gap():
