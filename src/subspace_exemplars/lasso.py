@@ -5,8 +5,10 @@ Solves, for a unit-norm target x and a dictionary A of unit-norm columns,
     min_c  ||c||_1 + (lam / 2) * ||x - A c||_2^2,       lam > 1,
 
 for many targets at once.  Every target follows the lasso homotopy from
-c = 0 down to the level 1/lam, all targets in lock-step rounds of one
-batched solve; the solver keeps no state between calls.  The path has a
+c = 0 down to the level 1/lam: the targets still on their paths step in
+lock-step rounds of one batched solve on compact copies of their state, and
+the paths end in one exact solve that inverts one Gram block per distinct
+final support.  The solver keeps no state between calls.  The path has a
 bounded number of rounds and there is no iteration limit: a code that still
 misses the tolerance raises :class:`NoConvergence` at once.  Convergence is
 certified: the returned coefficients satisfy the subgradient optimality
@@ -135,57 +137,73 @@ def _exact_solve(G, H, alpha):
     (it reaches +-mu), drop (an active c_i reaches zero) or alpha: the first
     minimum of one (R, 3, M) array of join+, join- and drop steps, inf where
     none.  The R live targets step in lock-step rounds of one stacked solve
-    of their identity-padded Gram blocks.  A column joins with sign +-1 only
-    while 1 -+ a_j > _JOIN_EPS: a column that moves with the level (a copy
-    of an active one) would make its block singular, and one just dropped
-    with sign s_j has 1 - s_j a_j = -(Schur complement) * s_j d_j < 0, so it
-    cannot rejoin with that sign.  The path ends with one iteratively refined
-    solve of G_SS c_S = h_S - alpha s_S on the final support and signs.  The
-    caller certifies the result.
+    of their identity-padded Gram blocks, on compact copies of their h, c, s
+    and mu; a target that reaches alpha leaves them in the round it does.  A
+    column joins with sign +-1 only while 1 -+ a_j > _JOIN_EPS: a column that
+    moves with the level (a copy of an active one) would make its block
+    singular, and one just dropped with sign s_j has 1 - s_j a_j =
+    -(Schur complement) * s_j d_j < 0, so it cannot rejoin with that sign.
+    The path ends with one iteratively refined solve of
+    G_SS c_S = h_S - alpha s_S on the final support and signs, inverting one
+    padded block per distinct support.  A stacked LAPACK call treats each
+    block on its own and the compact rows keep their order, so neither
+    changes a bit of a code.  The caller certifies the result.
     """
     M, T = H.shape
     h = H.T
     c, s = np.zeros((T, M)), np.zeros((T, M))  # s: signs of the active set, 0 off it
     mu = np.abs(h).max(axis=1, initial=0.0)
     rows = np.flatnonzero(mu > alpha)
-    first = np.concatenate([h[rows], -h[rows]], axis=1).argmax(axis=1)
-    s[rows, first % M] = np.array([1.0, -1.0])[first // M]
-    eye = np.eye(M)
+    hl, cl, sl, ml = h[rows], c[rows], s[rows], mu[rows]  # row i is target rows[i]
+    first = np.concatenate([hl, -hl], axis=1).argmax(axis=1)
+    sl[np.arange(rows.size), first % M] = np.array([1.0, -1.0])[first // M]
+    eye, pm, sign = np.eye(M), np.array([[1.0], [-1.0]]), np.repeat([1.0, -1.0, 0.0], M)
 
-    def blocks(rows):
-        on = s[rows] != 0.0
-        return np.where(on[:, :, None] & on[:, None, :], G, eye), on
+    def blocks(on):
+        return np.where(on[:, :, None] & on[:, None, :], G, eye)
 
     # the seeded join is the first of at most 8 M + 64 rounds
     for _ in range(8 * M + 63):
         if not rows.size:
             break
-        gm, on = blocks(rows)
-        d = np.linalg.solve(gm, s[rows][:, :, None])[:, :, 0]
-        a, r = d @ G, h[rows] - c[rows] @ G
-        m, left = mu[rows, None], mu[rows] - alpha
+        on = sl != 0.0
+        d = np.linalg.solve(blocks(on), sl[:, :, None])[:, :, 0]
+        a, r = d @ G, hl - cl @ G
+        left = ml - alpha
         events = np.full((rows.size, 3, M), np.inf)
-        for i, sg in enumerate((1.0, -1.0)):
-            rate = 1.0 - sg * a
-            np.divide(np.maximum(m - sg * r, 0.0), rate, out=events[:, i],
-                      where=~on & (rate > _JOIN_EPS))
-        np.divide(-c[rows], d, out=events[:, 2], where=s[rows] * d < 0.0)
+        rate = 1.0 - pm * a[:, None]  # join+ and join-: rate 1 -+ a_j, distance mu -+ r_j
+        np.divide(np.maximum(ml[:, None, None] - pm * r[:, None], 0.0), rate,
+                  out=events[:, :2], where=~on[:, None] & (rate > _JOIN_EPS))
+        np.divide(-cl, d, out=events[:, 2], where=sl * d < 0.0)
         events = events.reshape(rows.size, 3 * M)
         k = events.argmin(axis=1)
         step = np.minimum(events.min(axis=1), left)
         go = step != left
-        c[rows] += step[:, None] * d
-        mu[rows] -= step
-        rows, kind, j = rows[go], k[go] // M, k[go] % M
-        c[rows[kind == 2], j[kind == 2]] = 0.0
-        s[rows, j] = np.array([1.0, -1.0, 0.0])[kind]
+        cl += step[:, None] * d
+        ml -= step
+        if not go.all():
+            # a finished row keeps only its signs: a lone active column moves
+            # away from zero, so no support empties and the final solve sets c
+            s[rows[~go]] = sl[~go]
+            rows, hl, cl, sl, ml, k = rows[go], hl[go], cl[go], sl[go], ml[go], k[go]
+        # a joining column's c is +0.0 already, a dropping one's becomes it
+        i, j = np.arange(rows.size), k % M
+        cl[i, j], sl[i, j] = 0.0, sign[k]
+    s[rows] = sl
 
     # the exact solve on the final support and signs; iterative refinement,
     # since the restricted Gram can be ill-conditioned
     rows = np.flatnonzero((s != 0.0).any(axis=1))
-    gm, on = blocks(rows)
+    on = s[rows] != 0.0
+    # one inverse per distinct support: sort the supports, mark where each
+    # run of equal ones starts, and give each row the number of its run
+    order = np.lexsort(on.T)
+    srt = on[order]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    gm = blocks(on)
     rhs = np.where(on, h[rows] - alpha * s[rows], 0.0)[:, :, None]
-    inv = np.linalg.inv(gm)
+    inv = np.linalg.inv(blocks(srt[new]))[(np.cumsum(new) - 1)[np.argsort(order)]]
     sol = inv @ rhs
     for _ in range(4):
         res = gm @ sol - rhs

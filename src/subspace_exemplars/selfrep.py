@@ -165,9 +165,12 @@ def lambda_threshold(data: DataMatrix) -> float:
     """
     if data.count < 2:
         raise TooFewPoints("need at least two points")
-    g = np.abs(data.points.T @ data.points)
-    np.fill_diagonal(g, 0.0)
-    mu = float(g.max())
+    X, mu = data.points, 0.0
+    # 256 rows of the Gram at a time, as for _CostEvaluator.xnorm2, never N x N
+    for b in np.array_split(np.arange(data.count), -(-data.count // 256)):
+        g = np.abs(X[:, b].T @ X)
+        g[np.arange(b.size), b] = 0.0
+        mu = max(mu, float(g.max()))
     if mu == 0.0:
         return math.inf
     return 1.0 / mu

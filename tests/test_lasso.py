@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subspace_exemplars import (
     DataMatrix,
@@ -14,6 +16,7 @@ from subspace_exemplars import (
     subspace_preserving_rate,
     synth_union_of_subspaces,
 )
+from subspace_exemplars import lasso
 
 
 def _unit_columns(rng, d, m):
@@ -101,8 +104,6 @@ def test_column_negation_symmetry():
 
 def test_returns_the_certified_coefficients(monkeypatch):
     # the coefficients that _cd_core certified, bit for bit, a tiny one too
-    from subspace_exemplars import lasso
-
     certified = []
     cd_core = lasso._cd_core
 
@@ -313,3 +314,153 @@ def test_bad_lam_and_tol_are_rejected_at_every_entry_point(entry, lam, tol):
     else:
         with pytest.raises(ValueError if entry == "solve_lasso_batch" else TypeError, match="tol"):
             calls[entry](tol=tol)
+
+
+def _padded_exact_solve(G, H, alpha):
+    """The homotopy on full-size state: every round gathers from and scatters
+    into the (T, M) arrays, and the final solve inverts one padded block per
+    target.  ``lasso._exact_solve`` must equal it bit for bit."""
+    M, T = H.shape
+    h = H.T
+    c, s = np.zeros((T, M)), np.zeros((T, M))  # s: signs of the active set, 0 off it
+    mu = np.abs(h).max(axis=1, initial=0.0)
+    rows = np.flatnonzero(mu > alpha)
+    first = np.concatenate([h[rows], -h[rows]], axis=1).argmax(axis=1)
+    s[rows, first % M] = np.array([1.0, -1.0])[first // M]
+    eye = np.eye(M)
+
+    def blocks(rows):
+        on = s[rows] != 0.0
+        return np.where(on[:, :, None] & on[:, None, :], G, eye), on
+
+    # the seeded join is the first of at most 8 M + 64 rounds
+    for _ in range(8 * M + 63):
+        if not rows.size:
+            break
+        gm, on = blocks(rows)
+        d = np.linalg.solve(gm, s[rows][:, :, None])[:, :, 0]
+        a, r = d @ G, h[rows] - c[rows] @ G
+        m, left = mu[rows, None], mu[rows] - alpha
+        events = np.full((rows.size, 3, M), np.inf)
+        for i, sg in enumerate((1.0, -1.0)):
+            rate = 1.0 - sg * a
+            np.divide(np.maximum(m - sg * r, 0.0), rate, out=events[:, i],
+                      where=~on & (rate > lasso._JOIN_EPS))
+        np.divide(-c[rows], d, out=events[:, 2], where=s[rows] * d < 0.0)
+        events = events.reshape(rows.size, 3 * M)
+        k = events.argmin(axis=1)
+        step = np.minimum(events.min(axis=1), left)
+        go = step != left
+        c[rows] += step[:, None] * d
+        mu[rows] -= step
+        rows, kind, j = rows[go], k[go] // M, k[go] % M
+        c[rows[kind == 2], j[kind == 2]] = 0.0
+        s[rows, j] = np.array([1.0, -1.0, 0.0])[kind]
+
+    # the exact solve on the final support and signs; iterative refinement,
+    # since the restricted Gram can be ill-conditioned
+    rows = np.flatnonzero((s != 0.0).any(axis=1))
+    gm, on = blocks(rows)
+    rhs = np.where(on, h[rows] - alpha * s[rows], 0.0)[:, :, None]
+    inv = np.linalg.inv(gm)
+    sol = inv @ rhs
+    for _ in range(4):
+        res = gm @ sol - rhs
+        if not np.abs(res).max(initial=0.0) >= 1e-15:
+            break
+        sol -= inv @ res
+    c[rows] = sol[:, :, 0]
+    return c.T
+
+
+def _homotopy_case(seed, d, n_base, copies, axes, targets, alpha):
+    """G, H for a dictionary of random unit columns, their +-copies and, when
+    ``axes`` or a tie target asks for them, the coordinate axes; targets of
+    these kinds:
+
+    random  a random unit vector;
+    column  dictionary column v (mod M): its path ends on its own support;
+    tie     (e_p +- e_q) / sqrt 2, so axes p and q tie exactly in the first join;
+    inside  a vector of norm alpha / 2: max |h| <= alpha, no support;
+    repeat  the previous target again: the same final support.
+    """
+    rng = np.random.default_rng(seed)
+    cols = [_unit_columns(rng, d, n_base)]
+    cols += [sign * cols[0][:, [j % n_base]] for j, sign in copies]
+    if axes or any(kind == "tie" for kind, _ in targets):
+        cols.append(np.eye(d))
+    a = np.column_stack(cols)
+    xs = []
+    for kind, v in targets:
+        if kind == "column":
+            x = a[:, v % a.shape[1]]
+        elif kind == "tie":
+            p = v % d
+            q = (p + 1 + v // d % max(d - 1, 1)) % d
+            x = np.zeros(d)
+            x[p] += 1.0
+            x[q] += (1.0, -1.0)[v % 2] if q != p else 0.0
+            x /= np.linalg.norm(x)
+        elif kind == "inside":
+            x = 0.5 * alpha * _unit_columns(rng, d, 1)[:, 0]
+        elif kind == "repeat" and xs:
+            x = xs[-1]
+        else:
+            x = _unit_columns(rng, d, 1)[:, 0]
+        xs.append(x)
+    X = np.column_stack(xs)
+    return a.T @ a, a.T @ X
+
+
+_KINDS = ["random", "column", "tie", "inside", "repeat"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 7),
+    n_base=st.integers(1, 8),
+    copies=st.lists(st.tuples(st.integers(0, 7), st.sampled_from([1.0, -1.0])), max_size=5),
+    axes=st.booleans(),
+    targets=st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(0, 40)), min_size=1,
+                     max_size=16),
+    alpha=st.sampled_from([0.9, 0.3, 1e-2, 1e-4]),
+)
+# M = 1 and T = 1
+@example(seed=1, d=3, n_base=1, copies=[], axes=False, targets=[("random", 0)], alpha=1e-2)
+# M = 1, one target with no support and one that ends on the column
+@example(seed=2, d=2, n_base=1, copies=[], axes=False, targets=[("inside", 0), ("column", 0)],
+         alpha=0.3)
+# every final support the same
+@example(seed=3, d=6, n_base=5, copies=[], axes=False,
+         targets=[("random", 0)] + [("repeat", 0)] * 7, alpha=1e-4)
+# every final support different
+@example(seed=4, d=6, n_base=6, copies=[], axes=False,
+         targets=[("column", j) for j in range(6)], alpha=1e-2)
+# duplicated and antipodal columns, with exact first-join ties
+@example(seed=5, d=4, n_base=3, copies=[(0, 1.0), (1, -1.0), (2, -1.0)], axes=True,
+         targets=[("tie", v) for v in range(8)] + [("column", 3), ("column", 4)], alpha=1e-3)
+def test_the_homotopy_equals_the_padded_reference_bit_for_bit(
+        seed, d, n_base, copies, axes, targets, alpha):
+    # compact live rows and one inverse per distinct support change no bit
+    # of any code: rows finish in different rounds, some have no support,
+    # columns repeat with either sign and the first join ties
+    G, H = _homotopy_case(seed, d, n_base, copies, axes, targets, alpha)
+    assert lasso._exact_solve(G, H, alpha).tobytes() == _padded_exact_solve(G, H, alpha).tobytes()
+
+
+def test_the_final_solve_inverts_one_block_per_distinct_support(monkeypatch):
+    # 40 targets, each equal to one of three dictionary columns, end on 3
+    # supports: the final solve inverts 3 blocks, not 40
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda m: inverted.append(m.shape[0] if m.ndim == 3 else 1) or inv(m))
+    rng = np.random.default_rng(13)
+    a = _unit_columns(rng, 8, 6)
+    picks = np.arange(40) % 3 * 2
+    codes = solve_lasso_batch(a, a[:, picks], 100.0)
+    assert sum(inverted) == 3
+    expected = np.zeros((6, 40))
+    expected[picks, np.arange(40)] = 1 - 1 / 100.0
+    assert np.allclose(codes.coeffs, expected, rtol=0, atol=1e-12)

@@ -140,6 +140,18 @@ def test_lambda_threshold_too_few_points():
         lambda_threshold(DataMatrix(np.ones((2, 1))))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_lambda_threshold_equals_the_full_gram_maximum(seed):
+    # the threshold takes the Gram 256 rows at a time; the largest off-diagonal
+    # entry is the full Gram's, bit for bit, also across block boundaries
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(2, 41)), int(rng.choice([2, 37, 256, 257, 700, 1500]))
+    data = _random_data(rng, d, n)
+    g = np.abs(data.points.T @ data.points)
+    np.fill_diagonal(g, 0.0)
+    assert lambda_threshold(data) == 1.0 / g.max()
+
+
 def test_below_threshold_costs_collapse():
     rng = np.random.default_rng(8)
     data = _random_data(rng, 8, 10)
