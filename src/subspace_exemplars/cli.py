@@ -4,7 +4,8 @@ Subcommands wire the library end to end: ``synth`` writes a synthetic
 union-of-subspaces dataset, ``select`` picks exemplars, ``cluster`` and
 ``classify`` produce label files plus a metrics report, ``eval`` scores a
 prediction against ground truth, and ``oracle`` runs the geometry
-self-checks.  Every JSON output embeds the invoking configuration, and all
+self-checks.  Every JSON report is ``{"config": vars(args), **fields}``,
+written with sorted keys by the one function ``_write_json``, and all
 commands are deterministic functions of their inputs, flags and seed.
 """
 
@@ -14,10 +15,24 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
+from .classify import LabeledExemplars, src_classify
+from .cluster import esc_pipeline
+from .dataset import ParseError, SubspaceSpec, load_csv, save_csv, synth_union_of_subspaces
+from .ffs import METHODS, select
+from .geometry import (
+    SymmetricHull,
+    covering_radius,
+    inradius,
+    l1_min_exact,
+    minkowski_functional,
+    sup_l1_cost_on_sphere,
+)
+from .metrics import clustering_accuracy, clustering_fscore, imbalance, subspace_preserving_rate
+
 
 def _parser() -> argparse.ArgumentParser:
-    from .ffs import METHODS
-
     p = argparse.ArgumentParser(
         prog="subspace-exemplars",
         description="Exemplar selection, clustering and classification in a union of subspaces",
@@ -73,13 +88,9 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_dict(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "command"}
-    return {"command": args.command, **{k: cfg[k] for k in sorted(cfg)}}
-
-
-def _write_json(doc: dict, path) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _write_json(args, path, **fields) -> None:
+    """Write {"config": vars(args), **fields} to path, or to stdout when path is None."""
+    text = json.dumps({"config": vars(args), **fields}, indent=2, sort_keys=True)
     if path is None:
         print(text)
     else:
@@ -89,10 +100,6 @@ def _write_json(doc: dict, path) -> None:
 
 def _read_label_file(path):
     """Integer labels, one per line; any other value raises ParseError, as in load_csv."""
-    import numpy as np
-
-    from .dataset import ParseError
-
     vals = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -134,21 +141,7 @@ def _write_label_file(labels, path) -> None:
             fh.write(f"{int(v)}\n")
 
 
-def _load_data(args):
-    from .dataset import load_csv
-
-    return load_csv(args.data, with_labels=args.with_labels)
-
-
-def _select(data, args):
-    from .ffs import select
-
-    return select(data, args.method, args.lam, args.k, args.seed)
-
-
 def _cmd_synth(args) -> int:
-    from .dataset import SubspaceSpec, save_csv, synth_union_of_subspaces
-
     dims = tuple(int(v) for v in args.dims.split(","))
     counts = tuple(int(v) for v in args.counts.split(","))
     spec = SubspaceSpec(args.D, dims, counts, args.sigma, args.seed, args.coefficients)
@@ -158,11 +151,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    data = _load_data(args)
-    result = _select(data, args)
-    doc = json.loads(result.to_json())
-    doc["config"] = _config_dict(args)
-    _write_json(doc, args.out)
+    data = load_csv(args.data, with_labels=args.with_labels)
+    result = select(data, args.method, args.lam, args.k, args.seed)
+    _write_json(args, args.out, **json.loads(result.to_json()))
     return 0
 
 
@@ -172,15 +163,6 @@ def _metrics_report(truth, pred, exemplars=None, codes=None):
     With the exemplar indices also the imbalance of their classes, and with
     the (M, N) code matrix over them also the subspace-preserving rate.
     """
-    import numpy as np
-
-    from .metrics import (
-        clustering_accuracy,
-        clustering_fscore,
-        imbalance,
-        subspace_preserving_rate,
-    )
-
     report = {"accuracy": None, "fscore": None, "imbalance": None, "sp_rate": None}
     if truth is not None:
         report["accuracy"] = clustering_accuracy(truth, pred)
@@ -194,63 +176,42 @@ def _metrics_report(truth, pred, exemplars=None, codes=None):
 
 
 def _cmd_cluster(args) -> int:
-    from .cluster import esc_pipeline
-
-    data = _load_data(args)
+    data = load_csv(args.data, with_labels=args.with_labels)
     assignment, exemplars, codes = esc_pipeline(
         data, args.lam, args.k, args.t, args.n_clusters, args.seed,
         selection=args.method, return_details=True,
     )
     _write_label_file(assignment.labels, args.labels_out)
     report = _metrics_report(data.labels, assignment.labels, exemplars.indices, codes.coeffs)
-    doc = {"config": _config_dict(args), "metrics": report,
-           "exemplars": list(exemplars.indices)}
-    _write_json(doc, args.metrics_out)
+    _write_json(args, args.metrics_out, metrics=report, exemplars=list(exemplars.indices))
     return 0
 
 
 def _cmd_classify(args) -> int:
-    from .classify import LabeledExemplars, src_classify
-
-    data = _load_data(args)
+    data = load_csv(args.data, with_labels=args.with_labels)
     if args.exemplar_labels is not None:
         labels = _read_exemplar_labels(args.exemplar_labels, data.count)
     elif data.labels is not None:
         labels = dict(enumerate(data.labels.tolist()))
     else:
         raise ValueError("no label column and no --exemplar-labels file")
-    exemplar_set = _select(data, args)
+    exemplar_set = select(data, args.method, args.lam, args.k, args.seed)
     lab = LabeledExemplars.from_labels(list(exemplar_set.indices), labels)
     assignment = src_classify(data, lab, args.lam)
     _write_label_file(assignment.labels, args.labels_out)
     report = _metrics_report(data.labels, assignment.labels, exemplar_set.indices)
-    doc = {"config": _config_dict(args), "metrics": report,
-           "exemplars": list(exemplar_set.indices)}
-    _write_json(doc, args.metrics_out)
+    _write_json(args, args.metrics_out, metrics=report, exemplars=list(exemplar_set.indices))
     return 0
 
 
 def _cmd_eval(args) -> int:
     truth = _read_label_file(args.truth)
     pred = _read_label_file(args.pred)
-    report = _metrics_report(truth, pred)
-    doc = {"config": _config_dict(args), "metrics": report}
-    _write_json(doc, args.out)
+    _write_json(args, args.out, metrics=_metrics_report(truth, pred))
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    import numpy as np
-
-    from .geometry import (
-        SymmetricHull,
-        covering_radius,
-        inradius,
-        l1_min_exact,
-        minkowski_functional,
-        sup_l1_cost_on_sphere,
-    )
-
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
@@ -288,8 +249,7 @@ def _cmd_oracle(args) -> int:
             worst = max(worst, abs(f_sup - inv_r), abs(f_sup - inv_cos), abs(inv_r - inv_cos))
         doc = {"check": "chain", "trials": args.trials, "max_deviation": float(worst),
                "tolerance": 2e-3, "pass": bool(worst <= 2e-3)}
-    doc["config"] = _config_dict(args)
-    _write_json(doc, args.out)
+    _write_json(args, args.out, **doc)
     return 0 if doc["pass"] else 1
 
 

@@ -2,10 +2,13 @@
 
 ``f_cost(x, S)`` is the optimal value of the L1 + squared-residual objective
 of :mod:`subspace_exemplars.lasso` when x is coded over the columns indexed
-by S; ``F_cost`` is its worst case over the dataset.  Both are monotone
-non-increasing in S, bounded between 1 - 1/(2 lam) and lam/2, and the floor
-is attained exactly when the point (or its negation) belongs to S.  Costs
-are solved from zero on every call; no solver state is kept between calls.
+by S; ``F_cost`` is its worst case over the dataset.  Both are bounded below
+by 1 - 1/(2 lam), attained exactly when the point (or its negation) belongs
+to S, and above by lam/2 + lam * 1e-10; they are monotone non-increasing in S
+to within lam * 1e-10.  The slack is for data off the unit sphere: the empty
+set is priced at lam/2 by convention, but a zero code at 0.5 lam ||x||^2, and
+the data check accepts norms up to 1e-10 off 1.  Costs are solved from zero
+on every call; no solver state is kept between calls.
 """
 
 from __future__ import annotations

@@ -77,6 +77,36 @@ def test_select_json_is_byte_identical_across_runs(dataset, tmp_path):
     assert runs[0] == runs[1]
 
 
+_SELECTION = {"data", "with_labels", "lam", "k", "seed", "method"}
+
+
+@pytest.mark.parametrize("command, extra, keys, config", [
+    ("select", ["--k", 5, "--out", "OUT"],
+     {"indices", "k", "lambda", "seed", "trace"}, _SELECTION | {"out"}),
+    ("cluster", ["--k", 6, "--n-clusters", 2, "--labels-out", "LABELS", "--metrics-out", "OUT"],
+     {"metrics", "exemplars"}, _SELECTION | {"t", "n_clusters", "labels_out", "metrics_out"}),
+    ("classify", ["--k", 4, "--labels-out", "LABELS", "--metrics-out", "OUT"],
+     {"metrics", "exemplars"}, _SELECTION | {"exemplar_labels", "labels_out", "metrics_out"}),
+    ("eval", ["--out", "OUT"], {"metrics"}, {"truth", "pred", "out"}),
+    ("oracle", ["--check", "eq15", "--trials", 3, "--out", "OUT"],
+     {"check", "trials", "max_deviation", "tolerance", "pass"},
+     {"check", "trials", "seed", "resolution", "out"}),
+])
+def test_every_json_report_is_its_config_and_fields(dataset, tmp_path, command, extra, keys,
+                                                    config):
+    # every report is {"config": <the subcommand's parser destinations>, **fields}
+    out, labels = tmp_path / "report.json", tmp_path / "labels.csv"
+    labels.write_text("0\n1\n")
+    data = {"eval": ["--truth", labels, "--pred", labels],
+            "oracle": []}.get(command, ["--data", dataset, "--with-labels"])
+    paths = {"OUT": out, "LABELS": labels}
+    assert _run(command, *data, *[paths.get(a, a) for a in extra]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == keys | {"config"}
+    assert set(doc["config"]) == config | {"command"}
+    assert doc["config"]["command"] == command
+
+
 def test_cluster_outputs_and_determinism(dataset, tmp_path):
     labels = tmp_path / "labels.csv"
     metrics = tmp_path / "metrics.json"
@@ -186,12 +216,13 @@ def test_classify_rejects_a_bad_exemplar_label_file(dataset, tmp_path, capsys, c
 ])
 def test_classify_checks_the_exemplar_label_file_before_selection(
         dataset, tmp_path, capsys, monkeypatch, content, message):
-    from subspace_exemplars import ffs
+    from subspace_exemplars import cli
 
     def no_selection(*args, **kwargs):
         raise AssertionError("selection ran")
 
-    monkeypatch.setattr(ffs, "select", no_selection)
+    # the name the command calls, bound when cli was imported
+    monkeypatch.setattr(cli, "select", no_selection)
     labfile = tmp_path / "exlab.json"
     labfile.write_text(content)
     labels, metrics = tmp_path / "pred.csv", tmp_path / "m.json"

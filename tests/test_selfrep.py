@@ -18,6 +18,7 @@ from subspace_exemplars import (
     normalize_columns,
     synth_union_of_subspaces,
 )
+from subspace_exemplars.lasso import _UNIT_TOL
 from subspace_exemplars.selfrep import _CostEvaluator
 
 
@@ -123,6 +124,28 @@ def test_range_bounds_hold_everywhere():
         report = F_cost(subset, data, lam)
         assert np.all(report.per_point >= cost_floor(lam) - 1e-6)
         assert np.all(report.per_point <= lam / 2 + 1e-6)
+
+
+@pytest.mark.parametrize("lam", [1e2, 1e4])
+def test_costs_off_the_unit_sphere_stay_within_lam_times_the_unit_tolerance(lam):
+    # the data of test_lazy_equals_naive_off_unit_norm: two orthogonal 3-dim
+    # blocks, columns 5e-11 off the unit sphere, which the data check allows;
+    # the empty set costs lam / 2 by convention, but the zero code that prices
+    # the other block after the first pick costs 0.5 lam ||x||^2, above lam / 2
+    rng = np.random.default_rng(18)
+    pts = np.zeros((6, 24))
+    pts[:3, :12] = rng.standard_normal((3, 12))
+    pts[3:, 12:] = rng.standard_normal((3, 12))
+    pts *= (1.0 + 5e-11) / np.linalg.norm(pts, axis=0)
+    data = DataMatrix(pts[:, rng.permutation(24)])
+    bound = lam / 2 + lam * _UNIT_TOL
+    empty = F_cost([], data, lam).sup_value
+    assert empty == lam / 2
+    picks = ffs_naive(data, lam, 4, first_index=0).indices
+    for j in range(1, 5):
+        assert F_cost(picks[:j], data, lam).sup_value <= bound
+    one = F_cost([0], data, lam).sup_value
+    assert lam / 2 < one <= empty + lam * _UNIT_TOL
 
 
 def test_lambda_threshold_orthogonal_pair():
