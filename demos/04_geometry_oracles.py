@@ -6,9 +6,9 @@ For exemplars X0 on the unit circle, three quantities coincide:
   * one over the inradius of conv(+-X0),
   * one over the cosine of the covering radius of +-X0.
 
-The first two solve the same linear program through two entry points; the
-covering radius is a grid search with no linear program, the independent
-route.
+Each takes its own route: the worst-case cost solves the L1 linear program
+on an angle grid, the inradius is exact, read off the facets of the hull,
+and the covering radius is a grid search with no linear program.
 
 Also checks on random instances in R^3 that the Minkowski functional of
 conv(+-X0) equals the exact L1 minimization value.  Both solve
@@ -36,7 +36,7 @@ hull = SymmetricHull.from_points(points)
 res = 1e-3
 
 f_sup = sup_l1_cost_on_sphere(points, res)
-r = inradius(hull, res)
+r = inradius(hull)
 gamma = covering_radius(hull.generators, res)
 
 print("worst-case L1 cost over the circle :", f"{f_sup:.6f}")

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cluster import ClusterAssignment
-from .dataset import DataMatrix
+from .dataset import DataMatrix, _as_ints
 from .ffs import ExemplarSet
 from .lasso import solve_lasso_batch
 
@@ -41,10 +41,11 @@ class LabeledExemplars:
     classes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_as_ints(self.indices, "exemplar indices").tolist())
         if len(set(idx)) != len(idx):
             raise ValueError("exemplar indices must be distinct")
-        class_of = {int(i): int(c) for i, c in self.class_of.items()}
+        keys = _as_ints(list(self.class_of), "exemplar indices").tolist()
+        class_of = dict(zip(keys, _as_ints(list(self.class_of.values()), "class ids").tolist()))
         missing = [i for i in idx if i not in class_of]
         if missing:
             raise ValueError(f"no class given for exemplar index {missing[0]}")
@@ -64,14 +65,14 @@ class LabeledExemplars:
         A map may hold other indices too; a negative class anywhere in it is
         rejected.
         """
-        idx = [int(i) for i in indices]
+        idx = _as_ints(indices, "exemplar indices").tolist()
         if isinstance(labels, Mapping):
-            _check_class_ids(int(c) for c in labels.values())
-            class_of = {int(i): int(labels[i]) for i in idx if i in labels}
+            _check_class_ids(_as_ints(list(labels.values()), "class ids"))
+            class_of = {i: labels[i] for i in idx if i in labels}
         else:
             if len(labels) != len(idx):
                 raise ValueError("labels must parallel indices")
-            class_of = {i: int(c) for i, c in zip(idx, labels)}
+            class_of = dict(zip(idx, labels))
         return cls(tuple(idx), class_of)
 
     @classmethod

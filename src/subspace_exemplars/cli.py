@@ -243,7 +243,7 @@ def _cmd_oracle(args) -> int:
             pts = np.vstack([np.cos(ang), np.sin(ang)])
             hull = SymmetricHull.from_points(pts)
             f_sup = sup_l1_cost_on_sphere(pts, args.resolution)
-            inv_r = 1.0 / inradius(hull, args.resolution)
+            inv_r = 1.0 / inradius(hull)
             gamma = covering_radius(hull.generators, args.resolution)
             inv_cos = 1.0 / np.cos(gamma)
             worst = max(worst, abs(f_sup - inv_r), abs(f_sup - inv_cos), abs(inv_r - inv_cos))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix
+from .dataset import DataMatrix, _as_ints
 from .ffs import select
 from .lasso import solve_lasso_batch
 
@@ -68,7 +68,7 @@ class ClusterAssignment:
     n_clusters: int
 
     def __post_init__(self):
-        lab = np.array(self.labels, dtype=int)
+        lab = _as_ints(self.labels, "labels")
         if lab.ndim != 1:
             raise ValueError("labels must be one-dimensional")
         if lab.size and (lab.min() < 0 or lab.max() >= self.n_clusters):

@@ -55,6 +55,17 @@ class RaggedRows(ValueError):
         super().__init__(f"line {line}: expected {expected} fields, got {got}")
 
 
+def _as_ints(values, what: str) -> np.ndarray:
+    """A new int array of the values; a value that is not integral raises ValueError."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biu":
+        f = a.astype(float)
+        bad = ~np.isfinite(f) | (f != np.trunc(f))
+        if bad.any():
+            raise ValueError(f"{what} must be integral, got {f[bad][0]}")
+    return a.astype(int)
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """Column-stacked data points with optional ground-truth labels.
@@ -78,7 +89,7 @@ class DataMatrix:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = np.array(self.labels, dtype=int)
+            lab = _as_ints(self.labels, "labels")
             if lab.shape != (pts.shape[1],):
                 raise ValueError(
                     f"labels must have length N={pts.shape[1]}, got shape {lab.shape}"
@@ -120,8 +131,8 @@ class SubspaceSpec:
     coefficients: str = "sphere"
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.subspace_dims)
-        counts = tuple(int(c) for c in self.samples_per_subspace)
+        dims = tuple(_as_ints(self.subspace_dims, "subspace_dims").tolist())
+        counts = tuple(_as_ints(self.samples_per_subspace, "samples_per_subspace").tolist())
         object.__setattr__(self, "subspace_dims", dims)
         object.__setattr__(self, "samples_per_subspace", counts)
         if self.ambient_dim < 1:
@@ -172,7 +183,7 @@ def pca_project(m: DataMatrix, target_dim: int) -> DataMatrix:
     R^target_dim.  Columns of the result are generally not unit norm; apply
     ``normalize_columns`` afterwards if needed.
     """
-    target_dim = int(target_dim)
+    target_dim = int(_as_ints(target_dim, "target_dim"))
     if not 1 <= target_dim <= min(m.dim, m.count):
         raise BadDim(f"target_dim={target_dim} not in [1, min(D={m.dim}, N={m.count})]")
     centered = m.points - m.points.mean(axis=1, keepdims=True)

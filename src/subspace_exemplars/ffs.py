@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix
+from .dataset import DataMatrix, _as_ints
 from .lasso import DEFAULT_TOL, _check_params
 from .selfrep import _CostEvaluator
 
@@ -58,7 +58,7 @@ class ExemplarSet:
     lam: float | None = None
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(_as_ints(self.indices, "exemplar indices").tolist())
         if len(set(idx)) != len(idx):
             raise ValueError("exemplar indices must be distinct")
         object.__setattr__(self, "indices", idx)
@@ -89,7 +89,7 @@ class ExemplarSet:
         )
         lam = doc.get("lambda")
         return cls(
-            indices=tuple(int(i) for i in doc["indices"]),
+            indices=tuple(doc["indices"]),
             k=int(doc["k"]),
             seed=int(doc["seed"]),
             trace=trace,
@@ -104,9 +104,10 @@ def _first_index(data: DataMatrix, lam: float, k: int, seed: int, first_index: i
     _check_params(lam)
     if first_index is None:
         return int(np.random.default_rng(seed).integers(data.count))
+    first_index = int(_as_ints(first_index, "first_index"))
     if not 0 <= first_index < data.count:
         raise ValueError("first_index out of range")
-    return int(first_index)
+    return first_index
 
 
 def ffs_naive(

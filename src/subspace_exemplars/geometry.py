@@ -9,14 +9,17 @@ self-representation machinery to convex geometry:
   exemplar set, min sum(u) subject to [X0, -X0] u = x, u >= 0.  That is the
   same linear program as the L1 minimization, so the eq15 oracle, which
   compares the two, checks that the two entry points agree;
-* covering radius and inradius on the circle and 2-sphere by deterministic
-  grid search, tying the worst-case cost to 1/cos of the covering radius.
-  The covering-radius grid solves no linear program: it is the independent
-  route.
+* the chain tying the worst-case cost over the sphere to 1/inradius of
+  conv(+-X0) and to 1/cos of the covering radius of +-X0.  Each of its
+  three quantities takes its own route: the worst-case cost is the L1
+  linear program on an angle grid (D = 2), the inradius is exact, read off
+  the hull's facets (Qhull, any D >= 2), and the covering radius is a grid
+  search with no linear program (D in {2, 3}).
 
 The LPs are infeasibility-aware: a target outside the span yields the +inf
 sentinel rather than an error.
-scipy's LP solver loads on the first LP, not when the module is imported.
+scipy's LP solver loads on the first LP, and ``scipy.spatial`` on the first
+``inradius`` call, not when the module is imported.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "minkowski_functional",
     "covering_radius",
     "inradius",
-    "sup_gauge_on_sphere",
     "sup_l1_cost_on_sphere",
 ]
 
@@ -44,7 +46,7 @@ _SPAN_TOL = 1e-9
 
 
 class UnsupportedDim(ValueError):
-    """Grid search supports ambient dimension 2 and 3 only."""
+    """The routine does not support the ambient dimension."""
 
 
 class DegenerateHull(ValueError):
@@ -203,17 +205,6 @@ def _coarse_to_fine_angles(resolution: float, objective) -> float:
     return best
 
 
-def sup_gauge_on_sphere(hull: SymmetricHull, grid_resolution: float) -> float:
-    """Supremum of the Minkowski functional over the unit circle (D = 2)."""
-    _check_resolution(grid_resolution)
-    if hull.dim != 2:
-        raise UnsupportedDim("sup over the sphere is implemented for D = 2")
-    return _coarse_to_fine_angles(
-        grid_resolution,
-        lambda t: minkowski_functional(hull, np.array([math.cos(t), math.sin(t)])),
-    )
-
-
 def sup_l1_cost_on_sphere(points: np.ndarray, grid_resolution: float) -> float:
     """Supremum over the unit circle of the exact L1 minimization value.
 
@@ -232,34 +223,18 @@ def sup_l1_cost_on_sphere(points: np.ndarray, grid_resolution: float) -> float:
     return _coarse_to_fine_angles(grid_resolution, value)
 
 
-def inradius(hull: SymmetricHull, grid_resolution: float) -> float:
-    """Radius of the largest ball inscribed in the hull (D in {2, 3}).
+def inradius(hull: SymmetricHull) -> float:
+    """Radius of the largest ball inscribed in the hull (D >= 2), exactly.
 
-    Computed as the minimum over grid directions u of 1 / gauge(u); by
-    symmetry of the hull the search runs over half the sphere.
+    The hull is full-dimensional and contains the origin, so the radius is
+    the smallest distance from the origin to one of its facet hyperplanes.
+    Qhull returns each facet as a unit outward normal n and offset b with
+    n . x + b <= 0 inside, so that distance is -b.
     """
-    _check_resolution(grid_resolution)
     g = hull.generators
     if np.linalg.matrix_rank(g, tol=1e-10) < hull.dim:
         raise DegenerateHull("hull does not span the ambient space")
-    if hull.dim == 2:
-        return 1.0 / sup_gauge_on_sphere(hull, grid_resolution)
-    if hull.dim == 3:
-        def gauge(theta: float, phi: float) -> float:
-            st = math.sin(theta)
-            u = np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-            return minkowski_functional(hull, u)
-
-        coarse = max(grid_resolution, 0.1)
-        thetas = np.arange(0.5 * coarse, math.pi, coarse)
-        phis = np.arange(0.0, 2.0 * math.pi, coarse)
-        vals = np.array([[gauge(t, p) for p in phis] for t in thetas])
-        best = float(vals.max())
-        flat = np.argsort(vals, axis=None)[-3:]
-        for pos in flat:
-            i, j = divmod(int(pos), phis.size)
-            for t in np.arange(thetas[i] - coarse, thetas[i] + coarse, grid_resolution):
-                for p in np.arange(phis[j] - coarse, phis[j] + coarse, grid_resolution):
-                    best = max(best, gauge(t, p))
-        return 1.0 / best
-    raise UnsupportedDim(f"inradius grid search supports D in {{2, 3}}, got {hull.dim}")
+    if hull.dim < 2:
+        raise UnsupportedDim(f"inradius supports D >= 2, got {hull.dim}")
+    from scipy.spatial import ConvexHull
+    return float(-ConvexHull(g.T).equations[:, -1].max())

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lasso
-from .dataset import DataMatrix
+from .dataset import DataMatrix, _as_ints
 from .lasso import DEFAULT_TOL, NoConvergence, _check_params, _check_unit
 
 __all__ = ["CostReport", "TooFewPoints", "f_cost", "F_cost", "lambda_threshold", "cost_floor"]
@@ -45,7 +45,7 @@ def cost_floor(lam: float) -> float:
 
 
 def _indices(exemplars: Sequence[int], n: int) -> list[int]:
-    sel = [int(i) for i in exemplars]
+    sel = _as_ints(exemplars, "exemplar indices").tolist()
     if any(not 0 <= i < n for i in sel):
         raise ValueError(f"exemplar indices must lie in [0, N={n})")
     return sel

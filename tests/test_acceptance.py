@@ -241,7 +241,7 @@ def test_criterion_8_geometry_chain():
         done += 1
         hull = sx.SymmetricHull.from_points(pts)
         f_sup = sx.sup_l1_cost_on_sphere(pts, res)
-        inv_r = 1.0 / sx.inradius(hull, res)
+        inv_r = 1.0 / sx.inradius(hull)
         inv_cos = 1.0 / math.cos(sx.covering_radius(hull.generators, res))
         worst_chain = max(
             worst_chain,

@@ -5,11 +5,17 @@ import pytest
 
 from subspace_exemplars import (
     BadDim,
+    ClusterAssignment,
     DataMatrix,
+    ExemplarSet,
+    F_cost,
+    LabeledExemplars,
     ParseError,
     RaggedRows,
     SubspaceSpec,
     ZeroColumn,
+    f_cost,
+    ffs_naive,
     load_csv,
     normalize_columns,
     pca_project,
@@ -228,3 +234,37 @@ def test_csv_rejects_non_finite(tmp_path):
 def test_csv_save_labels_requires_labels(tmp_path):
     with pytest.raises(ValueError):
         save_csv(DataMatrix(np.ones((2, 2))), tmp_path / "x.csv", with_labels=True)
+
+
+_UNIT = normalize_columns(DataMatrix(np.random.default_rng(0).standard_normal((3, 6))))
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        (lambda: DataMatrix(np.eye(3), [0.5, 1.9, 2.2]), "0.5"),
+        (lambda: ClusterAssignment([0.7, 1.2], 2), "0.7"),
+        (lambda: LabeledExemplars.from_labels([0.5, 3.2], [0, 1]), "0.5"),
+        (lambda: ExemplarSet((0.5, 2.7), 2, 0), "0.5"),
+        (lambda: ExemplarSet.from_json('{"indices": [1.5, 2], "k": 2, "seed": 0}'), "1.5"),
+        (lambda: F_cost([1.9], _UNIT, 10.0), "1.9"),
+        (lambda: f_cost(_UNIT.points[:, 0], [0.5], _UNIT, 10.0), "0.5"),
+        (lambda: ffs_naive(_UNIT, 10.0, 2, first_index=1.5), "1.5"),
+        (lambda: SubspaceSpec(5, (2.5, 2), (10, 10)), "2.5"),
+        (lambda: SubspaceSpec(5, (2, 2), (10.9, 10)), "10.9"),
+        (lambda: pca_project(_UNIT, 2.7), "2.7"),
+    ],
+    ids=["DataMatrix", "ClusterAssignment", "LabeledExemplars", "ExemplarSet",
+         "ExemplarSet.from_json", "F_cost", "f_cost", "ffs_naive", "SubspaceSpec.dims",
+         "SubspaceSpec.counts", "pca_project"],
+)
+def test_a_fractional_id_is_rejected_not_truncated(build, value):
+    with pytest.raises(ValueError, match=f"integral, got {value}$"):
+        build()
+
+
+def test_integral_floats_and_numpy_integers_pass_as_ids():
+    assert DataMatrix(np.eye(3), [0.0, np.int64(1), 2]).labels.tolist() == [0, 1, 2]
+    assert ExemplarSet((np.int32(1), 2.0), 2, 0).indices == (1, 2)
+    assert SubspaceSpec(5, (2.0, 2), (np.int64(10), 10)).subspace_dims == (2, 2)
+    assert pca_project(_UNIT, 2.0).dim == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subspace_exemplars import (
     DegenerateHull,
@@ -12,7 +14,6 @@ from subspace_exemplars import (
     l1_min_exact,
     minkowski_functional,
     solve_lasso_batch,
-    sup_gauge_on_sphere,
     sup_l1_cost_on_sphere,
 )
 
@@ -94,14 +95,34 @@ def test_appendix_lemma_on_cross_polytope():
 
 
 def test_inradius_cross_polytope():
-    hull = SymmetricHull.from_points(np.eye(2))
-    assert abs(inradius(hull, 1e-3) - 1 / np.sqrt(2)) <= 2e-3
+    # exact in any dimension: conv(+-e_1 ... +-e_D) has inradius 1 / sqrt(D)
+    for dim in range(2, 7):
+        hull = SymmetricHull.from_points(np.eye(dim))
+        assert abs(inradius(hull) - 1 / np.sqrt(dim)) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("a", [0.0, 0.3, 2.5])
+def test_inradius_thin_rhombus(a, delta):
+    # conv(+-p, +-q) for unit p, q at angle delta: the nearest facets are
+    # the edges from q to -p and from -q to p, at distance sin(delta / 2)
+    pts = np.array([[math.cos(a), math.cos(a + delta)], [math.sin(a), math.sin(a + delta)]])
+    r = inradius(SymmetricHull.from_points(pts))
+    assert abs(r / math.sin(delta / 2) - 1.0) <= 1e-6
+
+
+def test_inradius_ignores_duplicated_generators():
+    rng = np.random.default_rng(6)
+    pts = _unit(rng, 3, 4)
+    once = inradius(SymmetricHull.from_points(pts))
+    twice = inradius(SymmetricHull.from_points(np.hstack([pts, pts[:, ::-1], -pts[:, :1]])))
+    assert abs(once - twice) <= 1e-15
 
 
 def test_inradius_dense_circle_tends_to_one():
     ang = np.linspace(0.0, np.pi, 64, endpoint=False)
     hull = SymmetricHull.from_points(np.vstack([np.cos(ang), np.sin(ang)]))
-    assert inradius(hull, 1e-3) >= 0.99
+    assert inradius(hull) >= 0.99
 
 
 def test_inradius_times_sup_cost_is_one():
@@ -110,25 +131,43 @@ def test_inradius_times_sup_cost_is_one():
         ang = rng.uniform(0.0, np.pi, 3)
         pts = np.vstack([np.cos(ang), np.sin(ang)])
         hull = SymmetricHull.from_points(pts)
-        prod = inradius(hull, 1e-3) * sup_l1_cost_on_sphere(pts, 1e-3)
+        prod = inradius(hull) * sup_l1_cost_on_sphere(pts, 1e-3)
         assert abs(prod - 1.0) <= 1e-3
 
 
 def test_inradius_octahedron_3d():
     hull = SymmetricHull.from_points(np.eye(3))
-    assert abs(inradius(hull, 0.05) - 1 / np.sqrt(3)) <= 0.02
+    assert abs(inradius(hull) - 1 / np.sqrt(3)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 3]),
+    m=st.integers(2, 7),
+    res=st.sampled_from([0.5, 0.2, 0.1]),
+)
+def test_inradius_bounds_the_grid_searches(seed, dim, m, res):
+    # the grid never overstates the covering radius gamma, nor the supremum
+    # of the L1 cost, so the exact inradius r = cos(gamma) = 1 / sup cost is
+    # bounded at any grid step
+    pts = _unit(np.random.default_rng(seed), dim, m)
+    assume(np.linalg.matrix_rank(pts, tol=1e-6) == dim)
+    hull = SymmetricHull.from_points(pts)
+    r = inradius(hull)
+    assert r <= math.cos(covering_radius(hull.generators, res)) + 1e-12
+    if dim == 2:
+        assert 1.0 / r >= sup_l1_cost_on_sphere(pts, res) - 1e-12
 
 
 def test_degenerate_and_unsupported():
     flat = SymmetricHull.from_points(np.eye(3)[:, :2])
     with pytest.raises(DegenerateHull):
-        inradius(flat, 1e-2)
+        inradius(flat)
     with pytest.raises(UnsupportedDim):
         covering_radius(np.eye(4), 1e-2)
     with pytest.raises(UnsupportedDim):
-        inradius(SymmetricHull.from_points(np.eye(4)), 1e-2)
-    with pytest.raises(UnsupportedDim):
-        sup_gauge_on_sphere(SymmetricHull.from_points(np.eye(3)), 1e-2)
+        inradius(SymmetricHull.from_points(np.eye(1)))
 
 
 def test_hull_validation():
@@ -167,15 +206,13 @@ def test_sup_gauge_matches_sup_l1():
     ang = rng.uniform(0.0, np.pi, 4)
     pts = np.vstack([np.cos(ang), np.sin(ang)])
     hull = SymmetricHull.from_points(pts)
-    a = sup_gauge_on_sphere(hull, 1e-3)
+    a = 1.0 / inradius(hull)
     b = sup_l1_cost_on_sphere(pts, 1e-3)
     assert abs(a - b) <= 1e-6
 
 
 @pytest.mark.parametrize("resolution", [-0.01, 0.0, math.nan, math.inf])
 def test_grid_searches_reject_a_bad_resolution(resolution):
-    square = SymmetricHull.from_points(np.eye(2))
-    for search, arg in ((covering_radius, np.eye(2)), (sup_gauge_on_sphere, square),
-                        (sup_l1_cost_on_sphere, np.eye(2)), (inradius, square)):
+    for search in (covering_radius, sup_l1_cost_on_sphere):
         with pytest.raises(ValueError, match=f"got {resolution}"):
-            search(arg, resolution)
+            search(np.eye(2), resolution)

@@ -2,7 +2,7 @@
 
 Importing the package, selecting, classifying and clustering load no scipy
 module; only the scoring metrics and the geometry oracles load
-``scipy.optimize``.  Each check runs in a fresh interpreter, since the test
+``scipy.optimize``, and the inradius oracle ``scipy.spatial``.  Each check runs in a fresh interpreter, since the test
 session has loaded scipy long ago.
 """
 
