@@ -68,6 +68,7 @@ class ClusterAssignment:
     n_clusters: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_clusters", int(_as_ints(self.n_clusters, "n_clusters")))
         lab = _as_ints(self.labels, "labels")
         if lab.ndim != 1:
             raise ValueError("labels must be one-dimensional")
@@ -97,6 +98,7 @@ def build_knn_graph(codes: np.ndarray, t: int) -> AffinityGraph:
     Ties are broken toward the lower index, so construction is
     order-independent.
     """
+    t = int(_as_ints(t, "t"))
     if t < 1:
         raise ValueError("t must be >= 1")
     C = np.asarray(codes, dtype=float)
@@ -264,6 +266,8 @@ def esc_pipeline(
     from the graph, attached afterwards to the cluster of the exemplar with
     the largest absolute inner product, and reported via a warning.
     """
+    k, t = int(_as_ints(k, "k")), int(_as_ints(t, "t"))
+    n_clusters = int(_as_ints(n_clusters, "n_clusters"))
     if not 1 <= n_clusters <= data.count:
         raise ValueError(f"n_clusters={n_clusters} must be in [1, N={data.count}]")
     if not 1 <= k <= data.count:

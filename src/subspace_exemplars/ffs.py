@@ -62,6 +62,12 @@ class ExemplarSet:
         if len(set(idx)) != len(idx):
             raise ValueError("exemplar indices must be distinct")
         object.__setattr__(self, "indices", idx)
+        # kept as Python ints, since a seed may exceed int64
+        for name in ("k", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                _as_ints(value, name)
+            object.__setattr__(self, name, int(value))
 
     @property
     def total_evals(self) -> int:
@@ -90,24 +96,27 @@ class ExemplarSet:
         lam = doc.get("lambda")
         return cls(
             indices=tuple(doc["indices"]),
-            k=int(doc["k"]),
-            seed=int(doc["seed"]),
+            k=doc["k"],
+            seed=doc["seed"],
             trace=trace,
             lam=None if lam is None else float(lam),
         )
 
 
-def _first_index(data: DataMatrix, lam: float, k: int, seed: int, first_index: int | None) -> int:
-    """Check the arguments; return the first exemplar (a seeded draw by default)."""
+def _first_index(
+    data: DataMatrix, lam: float, k: int, seed: int, first_index: int | None
+) -> tuple[int, int]:
+    """Check the arguments; return k and the first exemplar (a seeded draw by default)."""
+    k = int(_as_ints(k, "k"))
     if not 1 <= k <= data.count:
         raise ValueError(f"k={k} must be in [1, N={data.count}]")
     _check_params(lam)
     if first_index is None:
-        return int(np.random.default_rng(seed).integers(data.count))
+        return k, int(np.random.default_rng(seed).integers(data.count))
     first_index = int(_as_ints(first_index, "first_index"))
     if not 0 <= first_index < data.count:
         raise ValueError("first_index out of range")
-    return first_index
+    return k, first_index
 
 
 def ffs_naive(
@@ -122,7 +131,7 @@ def ffs_naive(
     Iteration i computes f(x_j, current set) for all N points and appends the
     maximizer (lowest index on ties).  Deterministic given the seed.
     """
-    j0 = _first_index(data, lam, k, seed, first_index)
+    k, j0 = _first_index(data, lam, k, seed, first_index)
     ev = _CostEvaluator(data, lam)
     selected = [j0]
     trace = [SelectionStep(j0, 0.5 * lam, 0)]
@@ -150,7 +159,7 @@ def ffs_lazy(data: DataMatrix, lam: float, k: int, seed: int = 0) -> ExemplarSet
     lowest index on ties.  The solved costs are kept as tighter bounds and
     counted in ``evals``.
     """
-    j0 = _first_index(data, lam, k, seed, None)
+    k, j0 = _first_index(data, lam, k, seed, None)
     ev = _CostEvaluator(data, lam)
     selected = [j0]
     in_set = np.zeros(ev.N, dtype=bool)
@@ -176,6 +185,7 @@ def ffs_lazy(data: DataMatrix, lam: float, k: int, seed: int = 0) -> ExemplarSet
 
 def select_random(data: DataMatrix, k: int, seed: int = 0) -> ExemplarSet:
     """k distinct indices drawn uniformly at random (baseline selector)."""
+    k = int(_as_ints(k, "k"))
     if not 0 <= k <= data.count:
         raise ValueError(f"k={k} must be in [0, N={data.count}]")
     rng = np.random.default_rng(seed)
@@ -189,6 +199,7 @@ def select(data: DataMatrix, method: str, lam: float, k: int, seed: int = 0) -> 
     Every method needs k in [1, N] and a valid lam, which the random baseline
     then ignores.
     """
+    k = int(_as_ints(k, "k"))
     if not 1 <= k <= data.count:
         raise ValueError(f"k={k} must be in [1, N={data.count}]")
     _check_params(lam)

@@ -7,15 +7,15 @@ Solves, for a unit-norm target x and a dictionary A of unit-norm columns,
 for many targets at once.  Every target follows the lasso homotopy from
 c = 0 down to the level 1/lam: the targets still on their paths step in
 lock-step rounds of one batched solve on compact copies of their state, and
-the paths end in one exact solve that inverts one Gram block per distinct
-final support.  The solver keeps no state between calls.  The path has a
-bounded number of rounds and there is no iteration limit: a code that still
-misses the tolerance raises :class:`NoConvergence` at once.  Convergence is
-certified: the returned coefficients satisfy the subgradient optimality
-conditions within the requested tolerance and the duality gap at return is
-below it as well.  Both can be recomputed from the returned code via
-:func:`kkt_violation` and :func:`duality_gap`.  :func:`solve_lasso_batch` is
-the one public entry point; it rejects with ``ValueError`` a dictionary
+a path's last round also solves for its exact code on that round's support,
+so nothing runs after the path.  The solver keeps no state between calls.
+The path has a bounded number of rounds and there is no iteration limit: a
+code that still misses the tolerance raises :class:`NoConvergence` at once.
+Convergence is certified: the returned coefficients satisfy the subgradient
+optimality conditions within the requested tolerance and the duality gap at
+return is below it as well.  Both can be recomputed from the returned code
+via :func:`kkt_violation` and :func:`duality_gap`.  :func:`solve_lasso_batch`
+is the one public entry point; it rejects with ``ValueError`` a dictionary
 that is not 2-D, targets that are not (D,) or (D, T) with the dictionary's
 D, a target or dictionary column that is non-finite or off the unit sphere,
 a lam that is not finite and > 1 and a tol that is not finite and > 0.
@@ -136,38 +136,40 @@ def _exact_solve(G, H, alpha):
     correlation h_j - (G c)_j at rate -a_j, a = G d, up to the nearest join
     (it reaches +-mu), drop (an active c_i reaches zero) or alpha: the first
     minimum of one (R, 3, M) array of join+, join- and drop steps, inf where
-    none.  The R live targets step in lock-step rounds of one stacked solve
-    of their identity-padded Gram blocks, on compact copies of their h, c, s
-    and mu; a target that reaches alpha leaves them in the round it does.  A
-    column joins with sign +-1 only while 1 -+ a_j > _JOIN_EPS: a column that
-    moves with the level (a copy of an active one) would make its block
-    singular, and one just dropped with sign s_j has 1 - s_j a_j =
+    none.  A column joins with sign +-1 only while 1 -+ a_j > _JOIN_EPS: a
+    column that moves with the level (a copy of an active one) would make its
+    block singular, and one just dropped with sign s_j has 1 - s_j a_j =
     -(Schur complement) * s_j d_j < 0, so it cannot rejoin with that sign.
-    The path ends with one iteratively refined solve of
-    G_SS c_S = h_S - alpha s_S on the final support and signs, inverting one
-    padded block per distinct support.  A stacked LAPACK call treats each
-    block on its own and the compact rows keep their order, so neither
-    changes a bit of a code.  The caller certifies the result.
+    The R live targets step in lock-step rounds of one stacked solve of their
+    identity-padded Gram blocks, on compact copies of their c and mu and of
+    the right-hand sides [s, h], one (R, M, 2) array; it gives d and
+    u = G_SS^-1 h_S.  A target that reaches alpha in a round, and every
+    target left in the last of the 8 M + 64 rounds, leaves the live rows with
+    that round's code c_S = G_SS^-1 (h_S - alpha s_S) = u - alpha d, so
+    nothing runs after the loop.  A stacked LAPACK call treats each block on
+    its own and the compact rows keep their order, so neither changes a bit
+    of a code.  The caller certifies the result.
     """
     M, T = H.shape
-    h = H.T
-    c, s = np.zeros((T, M)), np.zeros((T, M))  # s: signs of the active set, 0 off it
-    mu = np.abs(h).max(axis=1, initial=0.0)
+    c = np.zeros((T, M))
+    mu = np.abs(H).max(axis=0, initial=0.0)
     rows = np.flatnonzero(mu > alpha)
-    hl, cl, sl, ml = h[rows], c[rows], s[rows], mu[rows]  # row i is target rows[i]
+    # row i is target rows[i]; b[i] is the right-hand side [s, h], s the
+    # signs of the active set (0 off it), updated in place through sl
+    b = np.stack([np.zeros((rows.size, M)), H.T[rows]], axis=2)
+    sl, hl, cl, ml = b[:, :, 0], b[:, :, 1], np.zeros((rows.size, M)), mu[rows]
     first = np.concatenate([hl, -hl], axis=1).argmax(axis=1)
     sl[np.arange(rows.size), first % M] = np.array([1.0, -1.0])[first // M]
     eye, pm, sign = np.eye(M), np.array([[1.0], [-1.0]]), np.repeat([1.0, -1.0, 0.0], M)
 
-    def blocks(on):
-        return np.where(on[:, :, None] & on[:, None, :], G, eye)
-
-    # the seeded join is the first of at most 8 M + 64 rounds
-    for _ in range(8 * M + 63):
+    # the seeded join is the first of at most 8 M + 64 rounds; the last one
+    # ends every row still on its path
+    for rounds_left in range(8 * M + 62, -1, -1):
         if not rows.size:
             break
         on = sl != 0.0
-        d = np.linalg.solve(blocks(on), sl[:, :, None])[:, :, 0]
+        du = np.linalg.solve(np.where(on[:, :, None] & on[:, None, :], G, eye), b)
+        d = du[:, :, 0].copy()
         a, r = d @ G, hl - cl @ G
         left = ml - alpha
         events = np.full((rows.size, 3, M), np.inf)
@@ -178,39 +180,19 @@ def _exact_solve(G, H, alpha):
         events = events.reshape(rows.size, 3 * M)
         k = events.argmin(axis=1)
         step = np.minimum(events.min(axis=1), left)
-        go = step != left
+        go = (step != left) & (rounds_left > 0)
         cl += step[:, None] * d
         ml -= step
         if not go.all():
-            # a finished row keeps only its signs: a lone active column moves
-            # away from zero, so no support empties and the final solve sets c
-            s[rows[~go]] = sl[~go]
-            rows, hl, cl, sl, ml, k = rows[go], hl[go], cl[go], sl[go], ml[go], k[go]
+            # a finished row ends on this round's support and signs, where
+            # c_S = G_SS^-1 (h_S - alpha s_S) = u - alpha d
+            end = ~go
+            c[rows[end]] = np.where(on[end], du[end, :, 1] - alpha * d[end], 0.0)
+            rows, b, cl, ml, k = rows[go], b[go], cl[go], ml[go], k[go]
+            sl, hl = b[:, :, 0], b[:, :, 1]
         # a joining column's c is +0.0 already, a dropping one's becomes it
         i, j = np.arange(rows.size), k % M
         cl[i, j], sl[i, j] = 0.0, sign[k]
-    s[rows] = sl
-
-    # the exact solve on the final support and signs; iterative refinement,
-    # since the restricted Gram can be ill-conditioned
-    rows = np.flatnonzero((s != 0.0).any(axis=1))
-    on = s[rows] != 0.0
-    # one inverse per distinct support: sort the supports, mark where each
-    # run of equal ones starts, and give each row the number of its run
-    order = np.lexsort(on.T)
-    srt = on[order]
-    new = np.ones(rows.size, dtype=bool)
-    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    gm = blocks(on)
-    rhs = np.where(on, h[rows] - alpha * s[rows], 0.0)[:, :, None]
-    inv = np.linalg.inv(blocks(srt[new]))[(np.cumsum(new) - 1)[np.argsort(order)]]
-    sol = inv @ rhs
-    for _ in range(4):
-        res = gm @ sol - rhs
-        if not np.abs(res).max(initial=0.0) >= 1e-15:
-            break
-        sol -= inv @ res
-    c[rows] = sol[:, :, 0]
     return c.T
 
 

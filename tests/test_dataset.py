@@ -14,7 +14,9 @@ from subspace_exemplars import (
     RaggedRows,
     SubspaceSpec,
     ZeroColumn,
+    esc_pipeline,
     f_cost,
+    ffs_lazy,
     ffs_naive,
     load_csv,
     normalize_columns,
@@ -22,6 +24,8 @@ from subspace_exemplars import (
     save_csv,
     synth_union_of_subspaces,
 )
+from subspace_exemplars.cluster import build_knn_graph
+from subspace_exemplars.ffs import select, select_random
 
 
 def test_normalize_three_four_five():
@@ -268,3 +272,44 @@ def test_integral_floats_and_numpy_integers_pass_as_ids():
     assert ExemplarSet((np.int32(1), 2.0), 2, 0).indices == (1, 2)
     assert SubspaceSpec(5, (2.0, 2), (np.int64(10), 10)).subspace_dims == (2, 2)
     assert pca_project(_UNIT, 2.0).dim == 2
+
+
+_DATA = synth_union_of_subspaces(SubspaceSpec(6, (2, 2), (5, 5), 0.0, 0))
+
+
+@pytest.mark.parametrize(
+    "build, what, value",
+    [
+        (lambda: ffs_lazy(_DATA, 10.0, 2.5), "k", "2.5"),
+        (lambda: ffs_naive(_DATA, 10.0, 2.5), "k", "2.5"),
+        (lambda: select(_DATA, "ffs", 10.0, 2.5), "k", "2.5"),
+        (lambda: select_random(_DATA, 2.5), "k", "2.5"),
+        (lambda: esc_pipeline(_DATA, 10.0, 4.5, 3, 2), "k", "4.5"),
+        (lambda: esc_pipeline(_DATA, 10.0, 4, 2.5, 2), "t", "2.5"),
+        (lambda: esc_pipeline(_DATA, 10.0, 4, 3, 2.5), "n_clusters", "2.5"),
+        (lambda: build_knn_graph(np.eye(4), 2.5), "t", "2.5"),
+        (lambda: ClusterAssignment([0, 1], 2.5), "n_clusters", "2.5"),
+        (lambda: ExemplarSet((1, 2), 2.7, 0), "k", "2.7"),
+        (lambda: ExemplarSet((1, 2), 2, 0.5), "seed", "0.5"),
+        (lambda: ExemplarSet.from_json('{"indices": [1, 2], "k": 2.7, "seed": 0}'), "k", "2.7"),
+        (lambda: ExemplarSet.from_json('{"indices": [1, 2], "k": 2, "seed": 0.5}'), "seed", "0.5"),
+    ],
+    ids=["ffs_lazy", "ffs_naive", "select", "select_random", "esc_pipeline.k", "esc_pipeline.t",
+         "esc_pipeline.n_clusters", "build_knn_graph", "ClusterAssignment", "ExemplarSet.k",
+         "ExemplarSet.seed", "ExemplarSet.from_json.k", "ExemplarSet.from_json.seed"],
+)
+def test_a_fractional_count_or_seed_is_rejected_at_the_boundary(build, what, value):
+    # not a TypeError from deep inside, and not a silently kept or truncated value
+    with pytest.raises(ValueError, match=f"^{what} must be integral, got {value}$"):
+        build()
+
+
+def test_integral_float_counts_pass_and_seeds_stay_exact():
+    assert ffs_lazy(_DATA, 10.0, 2.0).k == 2
+    assert select_random(_DATA, np.int64(3)).indices == select_random(_DATA, 3).indices
+    assert esc_pipeline(_DATA, 10.0, 4.0, 3.0, 2.0).n_clusters == 2
+    # k and seed are kept as Python ints, so a seed above int64 keeps its value
+    out = ExemplarSet((1, 2), 2.0, np.uint64(2**64 - 1))
+    assert (out.k, out.seed) == (2, 2**64 - 1)
+    assert type(out.k) is int and type(out.seed) is int
+    assert ExemplarSet((1, 2), 2, 2**70).seed == 2**70
