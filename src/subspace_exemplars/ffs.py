@@ -6,13 +6,15 @@ currently worst-represented point (largest self-representation cost).
 exploits the monotonicity of the cost in the exemplar set (lazy greedy,
 Minoux 1978), keeping the last known cost of each point as an upper bound;
 the first are the zero code's costs 0.5 lam ||x||^2, so no pass computes them.
-Each step bounds every candidate's cost from below by a feasible point of
-the lasso dual (gap-safe screening, Fercoq, Gramfort & Salmon 2015) and
-solves, in one solver call, only the points whose upper bound reaches the
-best lower bound.  The two produce identical selections; the lazy variant
-simply performs far fewer cost evaluations.  Every evaluation goes through
-the stateless evaluator of :mod:`subspace_exemplars.selfrep` and solves from
-zero, so a cost depends only on the point and the current selection.
+Each later step bounds every candidate's cost from below by a feasible point
+of the lasso dual (gap-safe screening, Fercoq, Gramfort & Salmon 2015), its
+last solve's nu = lam (x - A c) times t = min(1, 1 / max_i |a_i^T nu|) plus
+lam (1 - t) times x's part off the selection's span, which every a_i is
+orthogonal to, and solves, in one solver call, only the points whose upper
+bound reaches the best lower bound.  The two select identically; the lazy
+variant simply performs far fewer cost evaluations.  Every evaluation goes
+through the stateless evaluator of :mod:`subspace_exemplars.selfrep` and
+solves from zero, so a cost depends only on the point and the selection.
 
 The first exemplar is a seeded uniform draw (``ffs_naive`` also takes it as
 ``first_index``, to replay an ``ffs_lazy`` run); all later choices break ties
@@ -90,7 +92,8 @@ class ExemplarSet:
     def from_json(cls, text: str) -> "ExemplarSet":
         doc = json.loads(text)
         trace = tuple(
-            SelectionStep(int(s["selected"]), float(s["f_value"]), int(s["evals"]))
+            SelectionStep(int(_as_ints(s["selected"], "trace selected")), float(s["f_value"]),
+                          int(_as_ints(s["evals"], "trace evals")))
             for s in doc.get("trace", [])
         )
         lam = doc.get("lambda")
@@ -137,9 +140,8 @@ def ffs_naive(
     trace = [SelectionStep(j0, 0.5 * lam, 0)]
     for _ in range(k - 1):
         costs = ev.costs(selected, np.arange(ev.N))
-        masked = costs.copy()
-        masked[selected] = -np.inf
-        j = int(np.argmax(masked))
+        costs[selected] = -np.inf
+        j = int(np.argmax(costs))
         trace.append(SelectionStep(j, float(costs[j]), ev.N))
         selected.append(j)
     return ExemplarSet(tuple(selected), k, seed, tuple(trace), lam)
@@ -150,14 +152,18 @@ def ffs_lazy(data: DataMatrix, lam: float, k: int, seed: int = 0) -> ExemplarSet
 
     Stale costs are valid upper bounds because the cost is non-increasing as
     the selection grows; the first are the zero code's costs, bit for bit as
-    the solver prices them, so k = 1 makes no solver call.  A feasible point
-    of the lasso dual gives each candidate a lower bound without a solve.
-    The winner costs at least the largest lower bound, so a step solves, in
-    one call, only the candidates whose stale bound reaches it less a margin
-    of twice ``DEFAULT_TOL`` (the certified gap plus rounding); every other
-    point costs less than the winner.  It picks the largest solved cost,
-    lowest index on ties.  The solved costs are kept as tighter bounds and
-    counted in ``evals``.
+    the solver prices them, so k = 1 makes no solver call, and step 1 solves
+    every candidate (a lower bound would prune next to nothing).  Each class
+    then carries the dual point nu = lam (x - A c) of its last solve, as
+    p = nu^T x, q = ||nu||^2 / (2 lam) and m, the running maximum of
+    |a_i^T nu| over the selection: t nu + lam (1 - t) (x - Q Q^T x) with
+    t = min(1, 1 / m) is dual-feasible, so t p - t^2 q + lam (1 - t)^2
+    ||x - Q Q^T x||^2 / 2 bounds the cost from below.  The winner costs at
+    least the largest one, so a step solves, in one call, only the
+    candidates whose stale bound reaches it less twice ``DEFAULT_TOL`` (the
+    certified gap plus rounding); every other point costs less than the
+    winner.  It picks the largest solved cost, lowest index on ties.  The
+    solved costs are kept as tighter bounds and counted in ``evals``.
     """
     k, j0 = _first_index(data, lam, k, seed, None)
     ev = _CostEvaluator(data, lam)
@@ -166,20 +172,25 @@ def ffs_lazy(data: DataMatrix, lam: float, k: int, seed: int = 0) -> ExemplarSet
     in_set[j0] = True
     bounds = 0.5 * lam * ev.xnorm2  # what lasso._cd_core charges for c = 0
     bounds[ev.twin == ev.twin[j0]] = ev.floor
+    # step 1 solves every free class; until then nu = 0, a feasible point of value 0
+    nu, (p, q, m) = np.zeros(data.points.shape), np.zeros((3, ev.N))
     trace = [SelectionStep(j0, 0.5 * lam, 0)]
     # a point above its class's lowest index loses the tie to it until the floor
     lowest = ev.twin == np.arange(ev.N)
-    for _ in range(k - 1):
-        scan = np.flatnonzero((lowest | ev.taken(selected)[ev.twin]) & ~in_set)
-        top = ev.lower_bounds(selected, scan).max()
-        todo = scan[bounds[scan] >= top - 2.0 * DEFAULT_TOL]
-        costs = ev.costs(selected, todo)
-        bounds[todo] = costs
-        pick = int(todo[np.argmax(costs)])  # todo ascends: lowest index on ties
-        trace.append(SelectionStep(pick, float(costs.max()), todo.size))
+    for step in range(k - 1):
+        taken = ev.taken(selected)[ev.twin]
+        todo = np.flatnonzero((lowest | taken) & ~in_set)
+        if step:
+            top = ev.lower_bounds(selected, todo, p[todo], q[todo], m[todo]).max()
+            todo = todo[bounds[todo] >= top - 2.0 * DEFAULT_TOL]
+        free = todo[~taken[todo]]  # one lowest index per class; the rest are at the floor
+        bounds[free], nu[:, free], p[free], q[free], m[free] = ev.solve(selected, free)
+        pick = int(todo[np.argmax(bounds[todo])])  # todo ascends: lowest index on ties
+        trace.append(SelectionStep(pick, float(bounds[pick]), todo.size))
         selected.append(pick)
         in_set[pick] = True
         bounds[ev.twin == ev.twin[pick]] = ev.floor
+        np.maximum(m, np.abs(data.points[:, pick] @ nu), out=m)
     return ExemplarSet(tuple(selected), k, seed, tuple(trace), lam)
 
 

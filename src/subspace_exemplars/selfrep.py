@@ -87,37 +87,46 @@ class _CostEvaluator:
         free = ~self.taken(sel)[cls]
         todo, back = np.unique(cls[free], return_inverse=True)
         if todo.size:
-            A = self.points[:, sel]
-            try:
-                costs = lasso._cd_core(A.T @ A, A.T @ self.points[:, todo], self.xnorm2[todo],
-                                       self.lam, DEFAULT_TOL)[4]
-            except NoConvergence as err:
-                raise NoConvergence(err.gap, int(todo[err.target_index])) from None
-            out[free] = costs[back]
+            out[free] = self.solve(sel, todo)[0][back]
         return out
 
-    def lower_bounds(self, sel: list[int], targets: np.ndarray) -> np.ndarray:
-        """Lower bounds on the target costs from one feasible point of the lasso dual.
+    def solve(self, sel: list[int], classes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Costs of distinct free classes in one solver call, with nu, p, q, m of lower_bounds."""
+        A, X = self.points[:, sel], self.points[:, classes]
+        try:
+            C, *_, costs = lasso._cd_core(A.T @ A, A.T @ X, self.xnorm2[classes], self.lam,
+                                          DEFAULT_TOL)
+        except NoConvergence as err:
+            raise NoConvergence(err.gap, int(classes[err.target_index])) from None
+        nu = self.lam * (X - A @ C)
+        q = np.einsum("ij,ij->j", nu, nu) / (2.0 * self.lam)
+        return costs, nu, np.einsum("ij,ij->j", nu, X), q, np.abs(A.T @ nu).max(axis=0)
+
+    def lower_bounds(self, sel: list[int], targets: np.ndarray, p: np.ndarray, q: np.ndarray,
+                     m: np.ndarray) -> np.ndarray:
+        """Lower bounds on the target costs from carried points of the lasso dual.
 
         The dual of the cost is max nu^T x - ||nu||^2 / (2 lam) subject to
-        |a_i^T nu| <= 1 for every selected column.  The point
-        nu = t x + (lam - t) r, with r = x - Q Q^T x off a reduced QR of the
-        selected columns (so A^T r = 0 even when A is rank-deficient) and
-        t = min(lam, 1 / max_i |a_i^T x|), is feasible, and its value
+        |a_i^T nu| <= 1 for every selected column.  A target carries the
+        point nu = lam (x - A' c) of a solve over part A' of the selection
+        (:meth:`solve`), as p = nu^T x, q = ||nu||^2 / (2 lam) and m, the
+        maximum of |a_i^T nu| over the whole selection.  With t = min(1, 1 / m)
+        and r = x - Q Q^T x off a reduced QR of the selected columns
+        (A^T r = 0 even when A is rank-deficient), t nu + lam (1 - t) r is
+        feasible, and as nu^T r = lam ||r||^2 its value
 
-            t ||x||^2 - t^2 ||x||^2 / (2 lam) + ||r||^2 (lam - t)^2 / (2 lam)
+            t p - t^2 q + lam (1 - t)^2 ||r||^2 / 2
 
-        bounds the cost from below (the dual point of gap-safe screening,
-        Fercoq, Gramfort & Salmon 2015).  A class with a selected member
-        gets the floor exactly.  No solver call.
+        bounds the cost from below (gap-safe screening, Fercoq, Gramfort &
+        Salmon 2015).  A class with a selected member gets the floor exactly.
         """
-        A, X = self.points[:, sel], self.points[:, targets]
-        q, _ = np.linalg.qr(A)
-        r = X - q @ (q.T @ X)
-        x2, r2, lam = self.xnorm2[targets], (r * r).sum(axis=0), self.lam
+        X, r2 = self.points[:, targets], 0.0
+        if len(sel) < X.shape[0]:  # else Q is square and r = 0
+            Q = np.linalg.qr(self.points[:, sel])[0]
+            r2 = ((X - Q @ (Q.T @ X)) ** 2).sum(axis=0)
         with np.errstate(divide="ignore"):
-            t = np.minimum(lam, 1.0 / np.abs(A.T @ X).max(axis=0))
-        out = t * x2 - 0.5 * t * t * x2 / lam + 0.5 * r2 * (lam - t) ** 2 / lam
+            t = np.minimum(1.0, 1.0 / m)
+        out = t * p - t * t * q + 0.5 * self.lam * (1.0 - t) ** 2 * r2
         out[self.taken(sel)[self.twin[targets]]] = self.floor
         return out
 

@@ -68,6 +68,47 @@ def test_lazy_equals_naive(seed):
     assert naive.total_evals == (k - 1) * data.count
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lazy_equals_naive_on_noisy_data_and_prunes_once_the_selection_spans(seed):
+    # sigma = 0.05 noise: once the selection spans R^D the zero code's bound
+    # prunes almost nothing, the carried dual points most of the candidates
+    data = synth_union_of_subspaces(SubspaceSpec(10, (3, 3, 3), (40, 40, 40), 0.05, 3))
+    lazy = ffs_lazy(data, 100.0, 15, seed=seed)
+    assert lazy.indices == ffs_naive(data, 100.0, 15, first_index=lazy.indices[0]).indices
+    spanned = [step.evals for step in lazy.trace[data.dim:]]
+    assert sum(spanned) < 0.5 * len(spanned) * data.count
+
+
+def test_lazy_step_1_solves_every_free_class_with_no_bound(monkeypatch):
+    # the zero code's upper bounds leave a lower bound nothing to prune
+    from subspace_exemplars import lasso
+    from subspace_exemplars.selfrep import _CostEvaluator
+
+    targets, bounds = [], []
+    cd_core, lower_bounds = lasso._cd_core, _CostEvaluator.lower_bounds
+
+    def counted(G, H, *args):
+        targets.append(H.shape[1])
+        return cd_core(G, H, *args)
+
+    def recorded(self, *args):
+        bounds.append(1)
+        return lower_bounds(self, *args)
+
+    monkeypatch.setattr(lasso, "_cd_core", counted)
+    monkeypatch.setattr(_CostEvaluator, "lower_bounds", recorded)
+    base = _random_data(17, 5, 20).points
+    data = DataMatrix(np.column_stack([base, -base[:, 3], base[:, 3], base[:, 8]]))
+    out = ffs_lazy(data, 100.0, 2, seed=0)
+    twin, j0 = _CostEvaluator(data, 100.0).twin, out.indices[0]
+    assert (targets, bounds) == ([np.unique(twin).size - 1], [])
+    # every class's lowest index and every other member of the first's class
+    scan = (twin == np.arange(data.count)) | (twin == twin[j0])
+    assert out.trace[1].evals == scan.sum() - 1
+    ffs_lazy(data, 100.0, 3, seed=0)
+    assert bounds == [1]
+
+
 def test_lazy_k1_initialization_only(monkeypatch):
     # the zero code's cost bounds every point: k = 1 solves nothing
     from subspace_exemplars import lasso
@@ -121,6 +162,14 @@ def test_json_round_trip():
     assert set(doc["trace"][0]) == {"selected", "f_value", "evals"}
     back = ExemplarSet.from_json(out.to_json())
     assert back == out
+
+
+@pytest.mark.parametrize("field, value", [("selected", 1.5), ("evals", 2.7), ("selected", "x")])
+def test_from_json_rejects_a_fractional_trace_entry(field, value):
+    doc = json.loads(ffs_lazy(_random_data(13, 4, 15), 20.0, 3, seed=9).to_json())
+    doc["trace"][1][field] = value
+    with pytest.raises(ValueError):
+        ExemplarSet.from_json(json.dumps(doc))
 
 
 def test_select_random_full_is_permutation():
