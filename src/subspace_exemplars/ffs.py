@@ -4,17 +4,15 @@ Both selectors grow an exemplar set one point at a time, always adding the
 currently worst-represented point (largest self-representation cost).
 ``ffs_naive`` reevaluates every point at every iteration; ``ffs_lazy``
 exploits the monotonicity of the cost in the exemplar set (lazy greedy,
-Minoux 1978), keeping the last known cost of each point as an upper bound;
-the first are the zero code's costs 0.5 lam ||x||^2, so no pass computes them.
-Each later step bounds every candidate's cost from below by a feasible point
-of the lasso dual (gap-safe screening, Fercoq, Gramfort & Salmon 2015), its
-last solve's nu = lam (x - A c) times t = min(1, 1 / max_i |a_i^T nu|) plus
-lam (1 - t) times x's part off the selection's span, which every a_i is
-orthogonal to, and solves, in one solver call, only the points whose upper
-bound reaches the best lower bound.  The two select identically; the lazy
-variant simply performs far fewer cost evaluations.  Every evaluation goes
-through the stateless evaluator of :mod:`subspace_exemplars.selfrep` and
-solves from zero, so a cost depends only on the point and the selection.
+Minoux 1978).  Every point carries an upper bound on its cost, the cost of a
+known code, which one exact coordinate step on each new exemplar lowers, and
+a lower bound from feasible points of the lasso dual (gap-safe screening,
+Fercoq, Gramfort & Salmon 2015); a step solves, in one solver call, only the
+points whose upper bound reaches the best lower bound.  The two select
+identically; the lazy variant simply performs far fewer cost evaluations.
+Every evaluation goes through the stateless evaluator of
+:mod:`subspace_exemplars.selfrep` and solves from zero, so a cost depends
+only on the point and the selection.
 
 The first exemplar is a seeded uniform draw (``ffs_naive`` also takes it as
 ``first_index``, to replay an ``ffs_lazy`` run); all later choices break ties
@@ -25,6 +23,7 @@ baseline, by name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,10 @@ __all__ = ["METHODS", "SelectionStep", "ExemplarSet", "ffs_naive", "ffs_lazy", "
 
 # the selector names ``select`` dispatches on
 METHODS = ("ffs", "random")
+
+# a pick whose part off the selection's span is at most this long is taken
+# to lie in the span: its Gram-Schmidt direction would be rounding noise
+_SPAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,51 +150,111 @@ def ffs_naive(
     return ExemplarSet(tuple(selected), k, seed, tuple(trace), lam)
 
 
+class _Carried:
+    """Bounds on every point's cost that ``ffs_lazy`` carries across steps.
+
+    They hold for the selection ``sel``, which :meth:`add` grows.
+    ``upper`` is the cost of a known code c of each point over the selection,
+    and ``e = x - A c`` its residual; both restart at a point's solve.  After
+    each pick a, new to every code, one exact coordinate step on it lowers
+    the bound: with g = a^T e the step b = sign(g) (|g| - 1/lam)_+ / ||a||^2
+    grows ||c||_1 by |b| and takes lam (|g| - 1/lam)_+^2 / (2 ||a||^2) off
+    the cost, and e becomes e - b a.  A point equal up to sign to a selected
+    one (``at_floor``) stays at the floor exactly.  The lower bounds of
+    :meth:`_CostEvaluator.lower_bounds` read two dual points per point, as
+    rows of p, q and m: row 0 the last solve's nu = lam e (0 until then),
+    row 1 the zero code's lam x; m is the running maximum of |a^T nu| over
+    the picks.  ``off`` is each point's part off the selection's span, kept
+    by one Gram-Schmidt direction per pick, and ``r2`` its squared norm.
+    """
+
+    def __init__(self, ev: _CostEvaluator):
+        X, lam, N = ev.points, ev.lam, ev.N
+        self.ev, self.sel = ev, []
+        self.upper = 0.5 * lam * ev.xnorm2  # what lasso._cd_core charges for c = 0
+        self.at_floor = np.zeros(N, dtype=bool)
+        # nu of both dual points, then e: one product with a pick reads all three
+        self.vecs = np.stack([np.zeros(X.shape), lam * X, X])
+        self.p = np.stack([np.zeros(N), lam * ev.xnorm2])
+        self.q = np.stack([np.zeros(N), 0.5 * lam * ev.xnorm2])
+        self.m = np.zeros((2, N))
+        self.off, self.r2 = X.copy(), ev.xnorm2.copy()
+
+    def lower(self, targets: np.ndarray) -> np.ndarray:
+        return self.ev.lower_bounds(self.sel, targets, self.p[:, targets], self.q[:, targets],
+                                    self.m[:, targets], self.r2[targets])
+
+    def solve(self, free: np.ndarray) -> None:
+        """Solve the distinct free classes: their costs and dual points restart."""
+        self.upper[free], nu, self.p[0, free], self.q[0, free], self.m[0, free] = \
+            self.ev.solve(self.sel, free)
+        self.vecs[0][:, free], self.vecs[2][:, free] = nu, nu / self.ev.lam
+
+    def add(self, pick: int) -> None:
+        """Carry every bound over to the selection grown by ``pick``."""
+        ev = self.ev
+        self.sel.append(pick)
+        a, a2, lam = ev.points[:, pick], ev.xnorm2[pick], ev.lam
+        prod = a @ self.vecs
+        np.maximum(self.m, np.abs(prod[:2]), out=self.m)
+        g = prod[2]
+        floored = ev.twin == ev.twin[pick]
+        self.at_floor |= floored
+        over = np.abs(g) - 1.0 / lam
+        over[self.at_floor] = 0.0
+        np.maximum(over, 0.0, out=over)
+        self.upper -= (0.5 * lam / a2) * (over * over)
+        self.upper[floored] = ev.floor
+        self.vecs[2] -= a[:, None] * (np.copysign(over, g) / a2)
+        # the pick's own residual is the next Gram-Schmidt direction, unless
+        # it is at rounding level
+        norm = math.sqrt(self.off[:, pick] @ self.off[:, pick])
+        if norm > _SPAN_TOL:
+            v = self.off[:, pick] / norm
+            self.off -= v[:, None] * (v @ self.off)
+            self.r2 = np.einsum("ij,ij->j", self.off, self.off)
+
+
 def ffs_lazy(data: DataMatrix, lam: float, k: int, seed: int = 0) -> ExemplarSet:
     """Bound-pruned selector; selects exactly the same indices as ffs_naive.
 
-    Stale costs are valid upper bounds because the cost is non-increasing as
-    the selection grows; the first are the zero code's costs, bit for bit as
-    the solver prices them, so k = 1 makes no solver call, and step 1 solves
-    every candidate (a lower bound would prune next to nothing).  Each class
-    then carries the dual point nu = lam (x - A c) of its last solve, as
-    p = nu^T x, q = ||nu||^2 / (2 lam) and m, the running maximum of
-    |a_i^T nu| over the selection: t nu + lam (1 - t) (x - Q Q^T x) with
-    t = min(1, 1 / m) is dual-feasible, so t p - t^2 q + lam (1 - t)^2
-    ||x - Q Q^T x||^2 / 2 bounds the cost from below.  The winner costs at
-    least the largest one, so a step solves, in one call, only the
-    candidates whose stale bound reaches it less twice ``DEFAULT_TOL`` (the
-    certified gap plus rounding); every other point costs less than the
-    winner.  It picks the largest solved cost, lowest index on ties.  The
-    solved costs are kept as tighter bounds and counted in ``evals``.
+    Every point carries an upper and a lower bound on its cost (``_Carried``).
+    The first upper bounds are the zero code's costs, bit for bit as the
+    solver prices them, so k = 1 makes no solver call, and step 1 solves every
+    candidate (a lower bound would prune next to nothing).  After a solve a
+    point's upper bound is its cost, and each later pick lowers it by one
+    exact coordinate step on the new exemplar.  Its lower bound is the better
+    value of two dual-feasible points, built from its last solve's dual point
+    and from the zero code's, each with the point's part off the selection's
+    span, which Gram-Schmidt keeps, so no step factors the selection.  The
+    winner costs at least the largest lower bound, so a step solves, in one
+    call, only the candidates whose upper bound reaches it less twice
+    ``DEFAULT_TOL`` (the certified gap plus rounding); every other point
+    costs less than the winner.  It picks the largest solved cost, lowest
+    index on ties.  The solved candidates are counted in ``evals``.
     """
     k, j0 = _first_index(data, lam, k, seed, None)
     ev = _CostEvaluator(data, lam)
-    selected = [j0]
+    carried = _Carried(ev)
+    carried.add(j0)
     in_set = np.zeros(ev.N, dtype=bool)
     in_set[j0] = True
-    bounds = 0.5 * lam * ev.xnorm2  # what lasso._cd_core charges for c = 0
-    bounds[ev.twin == ev.twin[j0]] = ev.floor
-    # step 1 solves every free class; until then nu = 0, a feasible point of value 0
-    nu, (p, q, m) = np.zeros(data.points.shape), np.zeros((3, ev.N))
     trace = [SelectionStep(j0, 0.5 * lam, 0)]
     # a point above its class's lowest index loses the tie to it until the floor
     lowest = ev.twin == np.arange(ev.N)
     for step in range(k - 1):
-        taken = ev.taken(selected)[ev.twin]
-        todo = np.flatnonzero((lowest | taken) & ~in_set)
+        at_floor, upper = carried.at_floor, carried.upper
+        todo = np.flatnonzero((lowest | at_floor) & ~in_set)
         if step:
-            top = ev.lower_bounds(selected, todo, p[todo], q[todo], m[todo]).max()
-            todo = todo[bounds[todo] >= top - 2.0 * DEFAULT_TOL]
-        free = todo[~taken[todo]]  # one lowest index per class; the rest are at the floor
-        bounds[free], nu[:, free], p[free], q[free], m[free] = ev.solve(selected, free)
-        pick = int(todo[np.argmax(bounds[todo])])  # todo ascends: lowest index on ties
-        trace.append(SelectionStep(pick, float(bounds[pick]), todo.size))
-        selected.append(pick)
+            top = carried.lower(todo).max()
+            todo = todo[upper[todo] >= top - 2.0 * DEFAULT_TOL]
+        # one lowest index per class; the rest are at the floor
+        carried.solve(todo[~at_floor[todo]])
+        pick = int(todo[np.argmax(upper[todo])])  # todo ascends: lowest index on ties
+        trace.append(SelectionStep(pick, float(upper[pick]), todo.size))
         in_set[pick] = True
-        bounds[ev.twin == ev.twin[pick]] = ev.floor
-        np.maximum(m, np.abs(data.points[:, pick] @ nu), out=m)
-    return ExemplarSet(tuple(selected), k, seed, tuple(trace), lam)
+        carried.add(pick)
+    return ExemplarSet(tuple(carried.sel), k, seed, tuple(trace), lam)
 
 
 def select_random(data: DataMatrix, k: int, seed: int = 0) -> ExemplarSet:

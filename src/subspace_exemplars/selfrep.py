@@ -72,9 +72,14 @@ class _CostEvaluator:
         self.lam = lam
         self.floor = cost_floor(lam)
         lead = X[np.argmax(X != 0.0, axis=0), np.arange(self.N)]
-        canon = (X * np.where(lead < 0.0, -1.0, 1.0)).T + 0.0  # + 0.0 turns -0.0 into 0.0
-        _, first, inverse = np.unique(canon, axis=0, return_index=True, return_inverse=True)
-        self.twin = first[inverse.ravel()]  # lowest index equal up to sign
+        canon = X * np.where(lead < 0.0, -1.0, 1.0)
+        # a stable sort of the columns keeps equal ones in index order, so
+        # each run of equal columns starts at its lowest index
+        order = np.lexsort(canon[::-1])
+        run = np.ones(self.N, dtype=bool)
+        run[1:] = (canon[:, order[1:]] != canon[:, order[:-1]]).any(axis=0)
+        self.twin = np.empty(self.N, dtype=np.intp)  # lowest index equal up to sign
+        self.twin[order] = order[run][np.cumsum(run) - 1]
 
     def taken(self, sel: list[int]) -> np.ndarray:
         """Mask indexed by class (``twin``): True where the class has a selected member."""
@@ -103,30 +108,27 @@ class _CostEvaluator:
         return costs, nu, np.einsum("ij,ij->j", nu, X), q, np.abs(A.T @ nu).max(axis=0)
 
     def lower_bounds(self, sel: list[int], targets: np.ndarray, p: np.ndarray, q: np.ndarray,
-                     m: np.ndarray) -> np.ndarray:
+                     m: np.ndarray, r2: np.ndarray) -> np.ndarray:
         """Lower bounds on the target costs from carried points of the lasso dual.
 
         The dual of the cost is max nu^T x - ||nu||^2 / (2 lam) subject to
         |a_i^T nu| <= 1 for every selected column.  A target carries the
-        point nu = lam (x - A' c) of a solve over part A' of the selection
-        (:meth:`solve`), as p = nu^T x, q = ||nu||^2 / (2 lam) and m, the
-        maximum of |a_i^T nu| over the whole selection.  With t = min(1, 1 / m)
-        and r = x - Q Q^T x off a reduced QR of the selected columns
-        (A^T r = 0 even when A is rank-deficient), t nu + lam (1 - t) r is
-        feasible, and as nu^T r = lam ||r||^2 its value
+        point nu = lam (x - A' c) of a code over part A' of the selection, as
+        p = nu^T x, q = ||nu||^2 / (2 lam) and m, the maximum of |a_i^T nu|
+        over the whole selection, and r2 = ||r||^2 for r, its part off the
+        selection's span (or off any larger space).  As A^T r = 0, with
+        t = min(1, 1 / m) the point t nu + lam (1 - t) r is feasible, and as
+        nu^T r = lam ||r||^2 its value
 
             t p - t^2 q + lam (1 - t)^2 ||r||^2 / 2
 
         bounds the cost from below (gap-safe screening, Fercoq, Gramfort &
-        Salmon 2015).  A class with a selected member gets the floor exactly.
+        Salmon 2015).  p, q and m may stack several dual points per target
+        along a leading axis; the bound is the best of them.  A class with a
+        selected member gets the floor exactly.
         """
-        X, r2 = self.points[:, targets], 0.0
-        if len(sel) < X.shape[0]:  # else Q is square and r = 0
-            Q = np.linalg.qr(self.points[:, sel])[0]
-            r2 = ((X - Q @ (Q.T @ X)) ** 2).sum(axis=0)
-        with np.errstate(divide="ignore"):
-            t = np.minimum(1.0, 1.0 / m)
-        out = t * p - t * t * q + 0.5 * self.lam * (1.0 - t) ** 2 * r2
+        t = 1.0 / np.maximum(m, 1.0)
+        out = np.atleast_2d(t * p - t * t * q + 0.5 * self.lam * (1.0 - t) ** 2 * r2).max(axis=0)
         out[self.taken(sel)[self.twin[targets]]] = self.floor
         return out
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +78,21 @@ def test_lazy_equals_naive_on_noisy_data_and_prunes_once_the_selection_spans(see
     assert lazy.indices == ffs_naive(data, 100.0, 15, first_index=lazy.indices[0]).indices
     spanned = [step.evals for step in lazy.trace[data.dim:]]
     assert sum(spanned) < 0.5 * len(spanned) * data.count
+
+
+def test_lazy_descent_bounds_cut_the_later_solves_on_the_classify_workload():
+    # the src-classify benchmark's data (seeds 0-2): at lam = 1e4 the lower
+    # bounds are already close to the winner, so the solves after step 1
+    # come from stale upper bounds; carried with one coordinate step per
+    # pick they number 81 + 89 + 71, against 169 + 182 + 158 = 509 for costs
+    # kept from the last solve alone
+    later = 0
+    for seed in range(3):
+        data = synth_union_of_subspaces(SubspaceSpec(12, (4, 4, 4), (20, 20, 20), 0.0, seed))
+        lazy = ffs_lazy(data, 1e4, 12, seed=seed)
+        assert lazy.indices == ffs_naive(data, 1e4, 12, first_index=lazy.indices[0]).indices
+        later += sum(step.evals for step in lazy.trace[2:])
+    assert later < 0.75 * 509
 
 
 def test_lazy_step_1_solves_every_free_class_with_no_bound(monkeypatch):
@@ -248,3 +264,17 @@ def test_lazy_makes_one_solver_call_per_step(monkeypatch):
     monkeypatch.setattr(lasso, "_cd_core", counted)
     ffs_lazy(_random_data(16, 6, 70), 100.0, 9, seed=3)
     assert len(calls) == 8  # one call per step after the first draw
+
+
+def test_the_committed_ffs_ladder_shows_one_selection_per_sigma():
+    # BENCH_ffs.json (scalebench/ffs_ladder.py) times the selectors of the
+    # versions it compares; a speed-up that changed the picks would not be
+    # one, and a side whose runs priced different numbers of targets would
+    # not be deterministic
+    doc = json.loads((Path(__file__).resolve().parent.parent / "BENCH_ffs.json").read_text())
+    picks = {}
+    for side, cells in doc["sides"].items():
+        for cell in cells:
+            picks.setdefault(cell["sigma"], set()).update(run["picks"] for run in cell["runs"])
+            assert len({run["evals"] for run in cell["runs"]}) == 1, (side, cell["sigma"])
+    assert picks and all(len(digests) == 1 for digests in picks.values()), picks

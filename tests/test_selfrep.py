@@ -18,6 +18,7 @@ from subspace_exemplars import (
     normalize_columns,
     synth_union_of_subspaces,
 )
+from subspace_exemplars.ffs import _Carried
 from subspace_exemplars.lasso import _UNIT_TOL, NoConvergence
 from subspace_exemplars.selfrep import _CostEvaluator
 
@@ -216,6 +217,22 @@ def test_members_and_their_negations_sit_exactly_on_the_floor():
             assert np.all(per[on] == cost_floor(lam)), (seed, lam)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 4), draw=st.data())
+def test_twin_classes_are_the_points_equal_up_to_sign(d, draw):
+    # few distinct entries, so columns repeat, often negated, with -0.0 and
+    # leading zeros; a point's class is the lowest index equal to it or to
+    # its negation
+    entry = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
+    column = st.lists(entry, min_size=d, max_size=d).filter(any)
+    pts = np.array(draw.draw(st.lists(column, min_size=1, max_size=12), label="columns")).T
+    X = normalize_columns(DataMatrix(pts)).points
+    n = X.shape[1]
+    brute = [min(i for i in range(n) if np.array_equal(X[:, i], X[:, j])
+                 or np.array_equal(X[:, i], -X[:, j])) for j in range(n)]
+    assert _CostEvaluator(DataMatrix(X), 10.0).twin.tolist() == brute
+
+
 def test_f_cost_of_an_exemplar_or_its_negation_is_the_floor_exactly():
     # on the README tour data a solved cost lands 6e-16 to 2e-14 below the
     # floor on all 8 exemplars
@@ -239,7 +256,8 @@ def test_dual_lower_bound_never_exceeds_the_cost():
     # random selection sequences from a lower-dimensional subspace, often
     # with more points than its dimension or a point and its negation, so
     # their columns are linearly dependent; each step re-solves a random
-    # part of the classes, so the others carry dual points of older steps.
+    # part of the classes, so the others carry dual points and codes of
+    # older steps, lowered by one coordinate step per pick.
     # A sequence stops where the solver cannot certify a cost to compare
     # with: at lam = 1e4 seed 41 meets the large-l1 gap defect of
     # test_coherent_dictionaries_at_a_large_lambda_return_exact_codes
@@ -256,18 +274,21 @@ def test_dual_lower_bound_never_exceeds_the_cost():
         everyone = np.arange(data.count)
         for lam in (1.5, 2.0, 10.0, 100.0, 1e4):
             ev = _CostEvaluator(data, lam)
-            nu, p, q, m = _zero_code_state(ev, order[:1])
+            carried = _Carried(ev)
+            carried.add(order[0])
             try:
                 for size in range(1, len(order)):
                     sel = order[:size]
-                    lower = ev.lower_bounds(sel, everyone, p, q, m)
+                    lower = carried.lower(everyone)
                     cost = ev.costs(sel, everyone)
+                    floor = ev.taken(sel)[ev.twin]
                     assert np.all(lower <= cost + 1e-13 * lam), (seed, lam, size)
-                    assert np.all(lower[sel] == cost_floor(lam)), (seed, lam, size)
-                    free = np.flatnonzero(~ev.taken(sel) & (ev.twin == everyone))
-                    free = free[rng.random(free.size) < 0.5]
-                    _, nu[:, free], p[free], q[free], m[free] = ev.solve(sel, free)
-                    m = np.maximum(m, np.abs(data.points[:, order[size]] @ nu))
+                    assert np.all(lower[floor] == cost_floor(lam)), (seed, lam, size)
+                    assert np.all(carried.upper >= cost - 1e-13 * lam), (seed, lam, size)
+                    assert np.all(carried.upper[floor] == cost_floor(lam)), (seed, lam, size)
+                    free = np.flatnonzero(~floor & (ev.twin == everyone))
+                    carried.solve(free[rng.random(free.size) < 0.5])
+                    carried.add(order[size])
             except NoConvergence:
                 uncertified.append((seed, lam))
     assert set(uncertified) <= {(41, 1e4)}
@@ -291,7 +312,7 @@ def test_zero_code_dual_bound_is_the_qr_bound():
                 t = np.minimum(lam, 1.0 / np.abs(A.T @ X).max(axis=0))
             old = t * x2 - 0.5 * t * t * x2 / lam + 0.5 * r2 * (lam - t) ** 2 / lam
             old[sel] = cost_floor(lam)
-            new = ev.lower_bounds(sel, everyone, *_zero_code_state(ev, sel)[1:])
+            new = ev.lower_bounds(sel, everyone, *_zero_code_state(ev, sel)[1:], r2)
             np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-14 * lam)
 
 
