@@ -95,42 +95,15 @@ class _CostEvaluator:
             out[free] = self.solve(sel, todo)[0][back]
         return out
 
-    def solve(self, sel: list[int], classes: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Costs of distinct free classes in one solver call, with nu, p, q, m of lower_bounds."""
-        A, X = self.points[:, sel], self.points[:, classes]
+    def solve(self, sel: list[int], classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Costs and codes of distinct free classes, in one solver call."""
+        A = self.points[:, sel]
         try:
-            C, *_, costs = lasso._cd_core(A.T @ A, A.T @ X, self.xnorm2[classes], self.lam,
-                                          DEFAULT_TOL)
+            C, *_, costs = lasso._cd_core(A.T @ A, A.T @ self.points[:, classes],
+                                          self.xnorm2[classes], self.lam, DEFAULT_TOL)
         except NoConvergence as err:
             raise NoConvergence(err.gap, int(classes[err.target_index])) from None
-        nu = self.lam * (X - A @ C)
-        q = np.einsum("ij,ij->j", nu, nu) / (2.0 * self.lam)
-        return costs, nu, np.einsum("ij,ij->j", nu, X), q, np.abs(A.T @ nu).max(axis=0)
-
-    def lower_bounds(self, sel: list[int], targets: np.ndarray, p: np.ndarray, q: np.ndarray,
-                     m: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        """Lower bounds on the target costs from carried points of the lasso dual.
-
-        The dual of the cost is max nu^T x - ||nu||^2 / (2 lam) subject to
-        |a_i^T nu| <= 1 for every selected column.  A target carries the
-        point nu = lam (x - A' c) of a code over part A' of the selection, as
-        p = nu^T x, q = ||nu||^2 / (2 lam) and m, the maximum of |a_i^T nu|
-        over the whole selection, and r2 = ||r||^2 for r, its part off the
-        selection's span (or off any larger space).  As A^T r = 0, with
-        t = min(1, 1 / m) the point t nu + lam (1 - t) r is feasible, and as
-        nu^T r = lam ||r||^2 its value
-
-            t p - t^2 q + lam (1 - t)^2 ||r||^2 / 2
-
-        bounds the cost from below (gap-safe screening, Fercoq, Gramfort &
-        Salmon 2015).  p, q and m may stack several dual points per target
-        along a leading axis; the bound is the best of them.  A class with a
-        selected member gets the floor exactly.
-        """
-        t = 1.0 / np.maximum(m, 1.0)
-        out = np.atleast_2d(t * p - t * t * q + 0.5 * self.lam * (1.0 - t) ** 2 * r2).max(axis=0)
-        out[self.taken(sel)[self.twin[targets]]] = self.floor
-        return out
+        return costs, C
 
 
 def f_cost(x, exemplars: Sequence[int], data: DataMatrix, lam: float) -> float:

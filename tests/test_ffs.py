@@ -95,34 +95,34 @@ def test_lazy_descent_bounds_cut_the_later_solves_on_the_classify_workload():
     assert later < 0.75 * 509
 
 
-def test_lazy_step_1_solves_every_free_class_with_no_bound(monkeypatch):
-    # the zero code's upper bounds leave a lower bound nothing to prune
-    from subspace_exemplars import lasso
-    from subspace_exemplars.selfrep import _CostEvaluator
+def test_lazy_step_1_prunes_by_the_carried_lower_bound():
+    # the first draw's coordinate step lowers every upper bound, so step 1
+    # already prunes by the zero code's dual bound: on the README tour data
+    # it solved all 199 free points when step 1 took no bound
+    data = synth_union_of_subspaces(SubspaceSpec(10, (3, 3), (60, 140), seed=1))
+    lazy = ffs_lazy(data, 100.0, 8, seed=7)
+    assert lazy.indices == ffs_naive(data, 100.0, 8, seed=7).indices
+    assert lazy.trace[1].evals <= 20
 
-    targets, bounds = [], []
-    cd_core, lower_bounds = lasso._cd_core, _CostEvaluator.lower_bounds
+
+def test_lazy_makes_no_solver_call_without_targets(monkeypatch):
+    # three points, each twice more up to sign: once all three classes are
+    # selected every candidate is at the floor, and there is nothing to solve
+    from subspace_exemplars import lasso
+
+    targets = []
+    cd_core = lasso._cd_core
 
     def counted(G, H, *args):
         targets.append(H.shape[1])
         return cd_core(G, H, *args)
 
-    def recorded(self, *args):
-        bounds.append(1)
-        return lower_bounds(self, *args)
-
     monkeypatch.setattr(lasso, "_cd_core", counted)
-    monkeypatch.setattr(_CostEvaluator, "lower_bounds", recorded)
-    base = _random_data(17, 5, 20).points
-    data = DataMatrix(np.column_stack([base, -base[:, 3], base[:, 3], base[:, 8]]))
-    out = ffs_lazy(data, 100.0, 2, seed=0)
-    twin, j0 = _CostEvaluator(data, 100.0).twin, out.indices[0]
-    assert (targets, bounds) == ([np.unique(twin).size - 1], [])
-    # every class's lowest index and every other member of the first's class
-    scan = (twin == np.arange(data.count)) | (twin == twin[j0])
-    assert out.trace[1].evals == scan.sum() - 1
-    ffs_lazy(data, 100.0, 3, seed=0)
-    assert bounds == [1]
+    b = _random_data(0, 4, 3).points
+    data = DataMatrix(np.column_stack([b, -b, b]))
+    lazy = ffs_lazy(data, 10.0, 6, seed=0)
+    assert targets and min(targets) >= 1
+    assert lazy.indices == ffs_naive(data, 10.0, 6, first_index=lazy.indices[0]).indices
 
 
 def test_lazy_k1_initialization_only(monkeypatch):

@@ -245,13 +245,6 @@ def test_f_cost_of_an_exemplar_or_its_negation_is_the_floor_exactly():
             assert f_cost(x, sel, data, lam) == cost_floor(lam) == per[j]
 
 
-def _zero_code_state(ev, sel):
-    """p, q and m of the zero code's dual point lam x, for every point."""
-    nu = ev.lam * ev.points
-    m = np.abs(ev.points[:, sel].T @ nu).max(axis=0)
-    return nu, (nu * ev.points).sum(axis=0), 0.5 * (nu * nu).sum(axis=0) / ev.lam, m
-
-
 def test_dual_lower_bound_never_exceeds_the_cost():
     # random selection sequences from a lower-dimensional subspace, often
     # with more points than its dimension or a point and its negation, so
@@ -295,8 +288,9 @@ def test_dual_lower_bound_never_exceeds_the_cost():
 
 
 def test_zero_code_dual_bound_is_the_qr_bound():
-    # at the zero code, nu = lam x, the carried bound is the value at
-    # t x + (lam - t) r with t = min(lam, 1 / max |a_i^T x|)
+    # before any solve every point carries the zero code's nu = lam x, and
+    # its bound is the value at t x + (lam - t) r with
+    # t = min(lam, 1 / max |a_i^T x|) and r from a QR of the selection
     for seed in range(20):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 9))
@@ -312,7 +306,10 @@ def test_zero_code_dual_bound_is_the_qr_bound():
                 t = np.minimum(lam, 1.0 / np.abs(A.T @ X).max(axis=0))
             old = t * x2 - 0.5 * t * t * x2 / lam + 0.5 * r2 * (lam - t) ** 2 / lam
             old[sel] = cost_floor(lam)
-            new = ev.lower_bounds(sel, everyone, *_zero_code_state(ev, sel)[1:], r2)
+            carried = _Carried(ev)
+            for j in sel:
+                carried.add(j)
+            new = carried.lower(everyone)
             np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-14 * lam)
 
 
