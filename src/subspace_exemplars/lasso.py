@@ -6,9 +6,9 @@ Solves, for a unit-norm target x and a dictionary A of unit-norm columns,
 
 for many targets at once.  Every target follows the lasso homotopy from
 c = 0 down to the level 1/lam: the targets still on their paths step in
-lock-step rounds of one batched solve on compact copies of their state, and
-a path's last round also solves for its exact code on that round's support,
-so nothing runs after the path.  The solver keeps no state between calls.
+lock-step rounds of one stacked solve of their bordered Gram blocks; it
+gives each path's next event level and, in its last round, its exact code
+on that round's support.  The solver keeps no state between calls.
 The path has a bounded number of rounds and there is no iteration limit: a
 code that still misses the tolerance raises :class:`NoConvergence` at once.
 Convergence is certified: the returned coefficients satisfy the subgradient
@@ -131,68 +131,65 @@ def _exact_solve(G, H, alpha):
     piecewise-linear solution path as the level mu falls from max |h| to
     alpha (Osborne, Presnell & Turlach, 2000; Efron et al., 2004).  The first
     join is seeded: the column attaining max |h| joins with the sign of h_j,
-    + before - on equal size, then the lowest index.  Then on the active set
-    S with signs s, c_S moves along d = G_SS^-1 s_S and each inactive
-    correlation h_j - (G c)_j at rate -a_j, a = G d, up to the nearest join
-    (it reaches +-mu), drop (an active c_i reaches zero) or alpha: the first
-    minimum of one (R, 3, M) array of join+, join- and drop steps, inf where
-    none.  A column joins with sign +-1 only while 1 -+ a_j > _JOIN_EPS: a
-    column that moves with the level (a copy of an active one) would make its
-    block singular, and one just dropped with sign s_j has 1 - s_j a_j =
-    -(Schur complement) * s_j d_j < 0, so it cannot rejoin with that sign.
-    The R live targets step in lock-step rounds of one stacked solve of their
-    identity-padded Gram blocks, on compact copies of their c and mu and of
-    the right-hand sides [s, h], one (R, M, 2) array; it gives d and
-    u = G_SS^-1 h_S.  A target that reaches alpha in a round, and every
-    target left in the last of the 8 M + 64 rounds, leaves the live rows with
-    that round's code c_S = G_SS^-1 (h_S - alpha s_S) = u - alpha d, so
-    nothing runs after the loop.  A stacked LAPACK call treats each block on
-    its own and the compact rows keep their order, so neither changes a bit
-    of a code.  The caller certifies the result.
+    + before - on equal size, then the lowest index.  On a support S with
+    signs s, c_S = u - mu d and an inactive correlation is mu xd_j - xu_j:
+    one solve of the bordered block K (G in the columns of S, -I in the
+    others) against [h, s], s = 0 off S, gives u = G_SS^-1 h_S and
+    d = G_SS^-1 s_S on S, xu_j = G_jS u_S - h_j and xd_j = G_jS d_S = a_j off
+    it.  With S first, K = [[G_SS, 0], [G_OS, -I]] is block triangular, so it
+    is nonsingular exactly when G_SS is.  The next level is the largest valid
+    xu / den, den = xd - (1, -1, 0) (join+ at xu_j / (xd_j - 1), join- at
+    xu_j / (xd_j + 1), drop at u_i / d_i), clamped to mu; ties go to join+,
+    join-, drop, then the lowest index.  With Z = [|s| - 1, 1 - |s|, -s],
+    Z * den > (eps, eps, 0) is the whole validity test: a column joins with
+    sign +-1 only while 1 -+ a_j > eps = _JOIN_EPS, since a copy of an active
+    column would make G_SS singular and one just dropped with sign s_j has
+    1 - s_j a_j = -(Schur complement) * s_j d_j < 0; c_i drops only where
+    s_i d_i < 0.  So the R live targets carry only s, mu and Z, and step in
+    lock-step rounds of one stacked solve.  A row whose level falls to alpha,
+    and every row left in the last of the 8 M + 64 rounds, leaves with the
+    code of that round's support at alpha, c_S = G_SS^-1 (h_S - alpha s_S) =
+    u - alpha d from the round's own solve, so no code is carried.  LAPACK
+    solves each block of the stack on its own and the rows keep their order,
+    so a code does not depend on its batch.  The caller certifies the result.
     """
     M, T = H.shape
     c = np.zeros((T, M))
     mu = np.abs(H).max(axis=0, initial=0.0)
     rows = np.flatnonzero(mu > alpha)
-    # row i is target rows[i]; b[i] is the right-hand side [s, h], s the
-    # signs of the active set (0 off it), updated in place through sl
-    b = np.stack([np.zeros((rows.size, M)), H.T[rows]], axis=2)
-    sl, hl, cl, ml = b[:, :, 0], b[:, :, 1], np.zeros((rows.size, M)), mu[rows]
-    first = np.concatenate([hl, -hl], axis=1).argmax(axis=1)
-    sl[np.arange(rows.size), first % M] = np.array([1.0, -1.0])[first // M]
-    eye, pm, sign = np.eye(M), np.array([[1.0], [-1.0]]), np.repeat([1.0, -1.0, 0.0], M)
+    # row i is target rows[i]: st[i] = [h, s, Z], [h, s] its right-hand sides
+    st = np.zeros((rows.size, 5, M))
+    st[:, 0], st[:, 2], st[:, 3], ml = H.T[rows], -1.0, 1.0, mu[rows]
+    # per event kind (join+, join-, drop): the [s, Z] it sets at its column,
+    # den = xd - shift and the floor of Z * den
+    sets = np.array([[1.0, 0.0, 0.0, -1.0], [-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]])
+    shift, floor = np.array([[1.0], [-1.0], [0.0]]), np.array([[_JOIN_EPS], [_JOIN_EPS], [0.0]])
+    first = np.concatenate([st[:, 0], -st[:, 0]], axis=1).argmax(axis=1)
+    st[np.arange(rows.size), 1:, first % M] = sets[first // M]
+    neg_eye = -np.eye(M)
 
     # the seeded join is the first of at most 8 M + 64 rounds; the last one
     # ends every row still on its path
     for rounds_left in range(8 * M + 62, -1, -1):
         if not rows.size:
             break
-        on = sl != 0.0
-        du = np.linalg.solve(np.where(on[:, :, None] & on[:, None, :], G, eye), b)
-        d = du[:, :, 0].copy()
-        a, r = d @ G, hl - cl @ G
-        left = ml - alpha
-        events = np.full((rows.size, 3, M), np.inf)
-        rate = 1.0 - pm * a[:, None]  # join+ and join-: rate 1 -+ a_j, distance mu -+ r_j
-        np.divide(np.maximum(ml[:, None, None] - pm * r[:, None], 0.0), rate,
-                  out=events[:, :2], where=~on[:, None] & (rate > _JOIN_EPS))
-        np.divide(-cl, d, out=events[:, 2], where=sl * d < 0.0)
-        events = events.reshape(rows.size, 3 * M)
-        k = events.argmin(axis=1)
-        step = np.minimum(events.min(axis=1), left)
-        go = (step != left) & (rounds_left > 0)
-        cl += step[:, None] * d
-        ml -= step
+        on = st[:, 1] != 0.0
+        x = np.linalg.solve(np.where(on[:, None, :], G, neg_eye), st[:, :2].transpose(0, 2, 1))
+        den = x[:, None, :, 1] - shift
+        level = np.full((rows.size, 3, M), -np.inf)
+        np.divide(x[:, None, :, 0], den, out=level, where=st[:, 2:] * den > floor)
+        level = np.minimum(level, ml[:, None, None], out=level).reshape(rows.size, 3 * M)
+        i, k = np.arange(rows.size), level.argmax(axis=1)
+        ml, (kind, j) = level[i, k], np.divmod(k, M)
+        # every row takes its event; the rows that end here leave below
+        st[i, 1:, j] = sets[kind]
+        go = ml > (alpha if rounds_left else np.inf)
         if not go.all():
-            # a finished row ends on this round's support and signs, where
-            # c_S = G_SS^-1 (h_S - alpha s_S) = u - alpha d
+            # a finished row's code: u - alpha d on this round's support
             end = ~go
-            c[rows[end]] = np.where(on[end], du[end, :, 1] - alpha * d[end], 0.0)
-            rows, b, cl, ml, k = rows[go], b[go], cl[go], ml[go], k[go]
-            sl, hl = b[:, :, 0], b[:, :, 1]
-        # a joining column's c is +0.0 already, a dropping one's becomes it
-        i, j = np.arange(rows.size), k % M
-        cl[i, j], sl[i, j] = 0.0, sign[k]
+            xe = x[end]
+            c[rows[end]] = np.where(on[end], xe[:, :, 0] - alpha * xe[:, :, 1], 0.0)
+            rows, st, ml = rows[go], st[go], ml[go]
     return c.T
 
 

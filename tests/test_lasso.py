@@ -1,4 +1,6 @@
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,10 +410,11 @@ def _padded_exact_solve(G, H, alpha):
     return c.T
 
 
-def _homotopy_case(seed, d, n_base, copies, axes, targets, alpha):
-    """(A, X): a dictionary of random unit columns, their +-copies and, when
-    ``axes`` or a tie target asks for them, the coordinate axes; targets of
-    these kinds:
+def _homotopy_case(seed, d, n_base, copies, axes, targets, alpha, sigma=0.0):
+    """(A, X): a dictionary of random unit columns (with sigma > 0, unit
+    columns v + sigma * noise around one unit v, as in the coherent family),
+    their +-copies and, when ``axes`` or a tie target asks for them, the
+    coordinate axes; targets of these kinds:
 
     random  a random unit vector;
     column  dictionary column v (mod M): its path ends on its own support;
@@ -420,7 +423,11 @@ def _homotopy_case(seed, d, n_base, copies, axes, targets, alpha):
     repeat  the previous target again: the same final support.
     """
     rng = np.random.default_rng(seed)
-    cols = [_unit_columns(rng, d, n_base)]
+    if sigma:
+        base = _unit_columns(rng, d, 1) + sigma * rng.standard_normal((d, n_base))
+        cols = [base / np.linalg.norm(base, axis=0)]
+    else:
+        cols = [_unit_columns(rng, d, n_base)]
     cols += [sign * cols[0][:, [j % n_base]] for j, sign in copies]
     if axes or any(kind == "tie" for kind, _ in targets):
         cols.append(np.eye(d))
@@ -459,31 +466,43 @@ _KINDS = ["random", "column", "tie", "inside", "repeat"]
     targets=st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(0, 40)), min_size=1,
                      max_size=16),
     alpha=st.sampled_from([0.9, 0.3, 1e-2, 1e-4]),
+    sigma=st.just(0.0),
 )
 # M = 1 and T = 1
-@example(seed=1, d=3, n_base=1, copies=[], axes=False, targets=[("random", 0)], alpha=1e-2)
+@example(seed=1, d=3, n_base=1, copies=[], axes=False, targets=[("random", 0)], alpha=1e-2,
+         sigma=0.0)
 # M = 1, one target with no support and one that ends on the column
 @example(seed=2, d=2, n_base=1, copies=[], axes=False, targets=[("inside", 0), ("column", 0)],
-         alpha=0.3)
+         alpha=0.3, sigma=0.0)
 # every final support the same
 @example(seed=3, d=6, n_base=5, copies=[], axes=False,
-         targets=[("random", 0)] + [("repeat", 0)] * 7, alpha=1e-4)
+         targets=[("random", 0)] + [("repeat", 0)] * 7, alpha=1e-4, sigma=0.0)
 # every final support different
 @example(seed=4, d=6, n_base=6, copies=[], axes=False,
-         targets=[("column", j) for j in range(6)], alpha=1e-2)
+         targets=[("column", j) for j in range(6)], alpha=1e-2, sigma=0.0)
 # duplicated and antipodal columns, with exact first-join ties
 @example(seed=5, d=4, n_base=3, copies=[(0, 1.0), (1, -1.0), (2, -1.0)], axes=True,
-         targets=[("tie", v) for v in range(8)] + [("column", 3), ("column", 4)], alpha=1e-3)
+         targets=[("tie", v) for v in range(8)] + [("column", 3), ("column", 4)], alpha=1e-3,
+         sigma=0.0)
 # a repeated column: the optimum is not unique, and the random target's code
 # puts column 1's weight on its copy in the reference only
 @example(seed=0, d=5, n_base=5, copies=[(1, 1.0)], axes=False,
-         targets=[("random", 0), ("column", 1)], alpha=1e-2)
-def test_the_homotopy_matches_the_padded_reference(seed, d, n_base, copies, axes, targets, alpha):
+         targets=[("random", 0), ("column", 1)], alpha=1e-2, sigma=0.0)
+# coherent dictionaries, columns v + 0.05 noise with M = D: in some rounds
+# partial pivoting of the bordered block takes a pivot from an off-support row
+@example(seed=3, d=3, n_base=3, copies=[], axes=False,
+         targets=[("random", 0)] * 3 + [("column", 0)], alpha=1e-4, sigma=0.05)
+@example(seed=7, d=7, n_base=7, copies=[], axes=False,
+         targets=[("random", 0)] * 3 + [("column", 29)], alpha=1e-4, sigma=0.05)
+@example(seed=20, d=5, n_base=5, copies=[], axes=False,
+         targets=[("random", 0)] * 3 + [("column", 1)], alpha=1e-4, sigma=0.05)
+def test_the_homotopy_matches_the_padded_reference(seed, d, n_base, copies, axes, targets, alpha,
+                                                   sigma):
     # rows finish in different rounds, some have no support, columns repeat
     # with either sign and the first join ties.  Each code comes from its last
     # round's solve, the reference's from a refined inverse, so they agree to
     # rounding; with a repeated column the optimum need not be unique
-    a, X = _homotopy_case(seed, d, n_base, copies, axes, targets, alpha)
+    a, X = _homotopy_case(seed, d, n_base, copies, axes, targets, alpha, sigma)
     G, H = a.T @ a, a.T @ X
     got, ref = lasso._exact_solve(G, H, alpha), _padded_exact_solve(G, H, alpha)
     objectives = [[_objective(a, X[:, j], 1.0 / alpha, c[:, j]) for j in range(X.shape[1])]
@@ -510,3 +529,63 @@ def test_paths_that_end_in_their_first_round_take_one_solve(monkeypatch):
     expected = np.zeros((6, 40))
     expected[picks, np.arange(40)] = 1 - 1 / 100.0
     assert np.allclose(codes.coeffs, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 7),
+    n_base=st.integers(1, 8),
+    copies=st.lists(st.tuples(st.integers(0, 7), st.sampled_from([1.0, -1.0])), max_size=5),
+    axes=st.booleans(),
+    targets=st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(0, 40)), min_size=1,
+                     max_size=16),
+    alpha=st.sampled_from([0.9, 1e-2, 1e-4]),
+)
+# duplicated and antipodal columns, every target +- one of them
+@example(seed=5, d=4, n_base=3, copies=[(0, 1.0), (1, -1.0), (2, -1.0), (2, 1.0)], axes=False,
+         targets=[("column", j) for j in range(7)] * 2, alpha=1e-4)
+def test_a_code_does_not_depend_on_its_batch(seed, d, n_base, copies, axes, targets, alpha):
+    # each target's code has the same bits whether it is solved with every
+    # other target, with a few of them, or in another order: the stacked solve
+    # treats each block on its own and nothing else mixes the rows
+    a, X = _homotopy_case(seed, d, n_base, copies, axes, targets, alpha)
+    rng = np.random.default_rng([seed, 1])
+    X = X * rng.choice([-1.0, 1.0], X.shape[1])
+    G, H = a.T @ a, a.T @ X
+    part = rng.permutation(X.shape[1])[:int(rng.integers(1, X.shape[1] + 1))]
+    whole = lasso._exact_solve(G, H, alpha)
+    assert lasso._exact_solve(G, H[:, part], alpha).tobytes() == whole[:, part].tobytes()
+
+
+@pytest.mark.parametrize("lam", [3.0, 10.0, 100.0])
+def test_an_orthonormal_dictionary_takes_one_solve_per_coordinate_above_alpha(monkeypatch, lam):
+    # with G = I the path joins the coordinates of x in order of size, one per
+    # round, and ends when the next one is at most 1/lam: a target with p of
+    # them above 1/lam takes p rounds, a batch as many as its longest path,
+    # and each code is the soft threshold of x
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        X = _unit_columns(rng, 8, int(rng.integers(1, 6)))
+        solves.clear()
+        codes = solve_lasso_batch(np.eye(8), X, lam)
+        assert len(solves) == (np.abs(X) > 1.0 / lam).sum(axis=0).max()
+        assert np.array_equal(codes.coeffs, np.sign(X) * np.maximum(np.abs(X) - 1.0 / lam, 0.0))
+
+
+def test_the_committed_homotopy_replay_shows_one_path_per_workload():
+    # BENCH_homotopy.json (scalebench/homotopy_replay.py) times the homotopy
+    # of the versions it compares on the benchmark's s=0 ops; a speed-up that
+    # changed a selection or the rounds the paths take would not be one, and
+    # a side whose runs differ would not be deterministic
+    doc = json.loads((Path(__file__).resolve().parent.parent / "BENCH_homotopy.json").read_text())
+    seen = {}
+    for cells in doc["sides"].values():
+        for cell in cells:
+            for run in cell["runs"]:
+                for key in ("digest", "rounds", "row_rounds"):
+                    seen.setdefault((cell["workload"], key), set()).add(run[key])
+    assert seen and all(len(values) == 1 for values in seen.values()), seen
