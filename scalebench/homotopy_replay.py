@@ -57,11 +57,11 @@ def run_workload(name: str) -> dict:
             counts["row_rounds"] += a.shape[0]
         return solve(a, b)
 
-    def counted_exact_solve(G, H, alpha):
+    def counted_exact_solve(*args):
         counts["calls"] += 1
         inside[0] = True
         try:
-            return exact_solve(G, H, alpha)
+            return exact_solve(*args)
         finally:
             inside[0] = False
 
@@ -73,10 +73,10 @@ def run_workload(name: str) -> dict:
 
     spent = [0.0]
 
-    def timed_exact_solve(G, H, alpha):
+    def timed_exact_solve(*args):
         start = time.process_time()
         try:
-            return exact_solve(G, H, alpha)
+            return exact_solve(*args)
         finally:
             spent[0] += time.process_time() - start
 

@@ -7,8 +7,9 @@ exploits the monotonicity of the cost in the exemplar set (lazy greedy,
 Minoux 1978).  Every point carries an upper bound on its cost, the cost of a
 known code, which one exact coordinate step on each new exemplar lowers, and
 a lower bound from feasible points of the lasso dual (gap-safe screening,
-Fercoq, Gramfort & Salmon 2015); a step solves, in one solver call, only the
-points whose upper bound reaches the best lower bound.  The two select
+Fercoq, Gramfort & Salmon 2015); a step solves, in at most one solver call,
+only the points whose upper bound reaches the best lower bound, and a step
+whose bounds leave one point picks it without a call.  The two select
 identically; the lazy variant simply performs far fewer cost evaluations.
 Every evaluation goes through the stateless evaluator of
 :mod:`subspace_exemplars.selfrep` and solves from zero.  A solved cost still
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -199,18 +201,22 @@ class _Carried:
         out[self.at_floor[targets]] = self.ev.floor
         return out
 
-    def solve(self, free: np.ndarray) -> None:
-        """Solve the distinct free classes: their costs and dual points restart."""
-        if not free.size:
-            return
+    def solve(self, free: np.ndarray, lone: Sequence[int] = ()) -> np.ndarray:
+        """Solve the distinct free classes: their costs and dual points restart.
+
+        The same solver call prices each earlier pick sel[i], i in ``lone``,
+        over the selection it had, sel[:i]; returns those costs.
+        """
         ev = self.ev
         A, X = ev.points[:, self.sel], ev.points[:, free]
-        self.upper[free], C = ev.solve(self.sel, free)
+        costs, C = ev.solve(self.sel, free, lone)
+        self.upper[free], C = costs[:free.size], C[:, :free.size]
         nu = ev.lam * (X - A @ C)
         self.vecs[0][:, free], self.vecs[1][:, free] = nu, nu / ev.lam
         self.p[free] = np.einsum("ij,ij->j", nu, X)
         self.q[free] = np.einsum("ij,ij->j", nu, nu) / (2.0 * ev.lam)
         self.m[free] = np.abs(A.T @ nu).max(axis=0)
+        return costs[free.size:]
 
     def add(self, pick: int) -> None:
         """Carry every bound over to the selection grown by ``pick``."""
@@ -251,8 +257,10 @@ def ffs_lazy(data: DataMatrix, lam: float, k: int, seed: int = 0) -> ExemplarSet
     step solves, in at most one call, only the candidates whose upper bound
     reaches it less twice ``DEFAULT_TOL`` (the certified gap plus rounding);
     every other point costs less than the winner.  It picks the largest
-    solved cost, lowest index on ties.  The candidates kept are counted in
-    ``evals``.
+    solved cost, lowest index on ties.  A lone candidate off the floor is
+    the pick without a solve: its cost, which only the trace reads, is priced
+    over the selection it had in the next solver call, or in one call after
+    the last step.  The candidates kept are counted in ``evals``.
     """
     k, j0 = _first_index(data, lam, k, seed, None)
     ev = _CostEvaluator(data, lam)
@@ -260,20 +268,30 @@ def ffs_lazy(data: DataMatrix, lam: float, k: int, seed: int = 0) -> ExemplarSet
     carried.add(j0)
     in_set = np.zeros(ev.N, dtype=bool)
     in_set[j0] = True
-    trace = [SelectionStep(j0, 0.5 * lam, 0)]
+    # step i picks sel[i], at cost costs[i] over sel[:i], from evals[i] candidates
+    costs, evals = np.full(k, 0.5 * lam), np.zeros(k, dtype=int)
+    lone = []  # the steps whose lone pick is not priced yet
     # a point above its class's lowest index loses the tie to it until the floor
     lowest = ev.twin == np.arange(ev.N)
-    for _ in range(k - 1):
+    for step in range(1, k):
         at_floor, upper = carried.at_floor, carried.upper
         todo = np.flatnonzero((lowest | at_floor) & ~in_set)
         todo = todo[upper[todo] >= carried.lower(todo).max() - 2.0 * DEFAULT_TOL]
         # one lowest index per class; the rest are at the floor
-        carried.solve(todo[~at_floor[todo]])
+        free = todo[~at_floor[todo]]
+        if todo.size == 1 and free.size:
+            lone.append(step)
+        elif free.size:
+            costs[lone] = carried.solve(free, lone)
+            lone = []
         pick = int(todo[np.argmax(upper[todo])])  # todo ascends: lowest index on ties
-        trace.append(SelectionStep(pick, float(upper[pick]), todo.size))
+        costs[step], evals[step] = upper[pick], todo.size
         in_set[pick] = True
         carried.add(pick)
-    return ExemplarSet(tuple(carried.sel), k, seed, tuple(trace), lam)
+    if lone:
+        costs[lone] = carried.solve(np.empty(0, dtype=np.intp), lone)
+    trace = tuple(map(SelectionStep, carried.sel, costs.tolist(), evals.tolist()))
+    return ExemplarSet(tuple(carried.sel), k, seed, trace, lam)
 
 
 def select_random(data: DataMatrix, k: int, seed: int = 0) -> ExemplarSet:

@@ -124,10 +124,12 @@ def _certificates(corr, c, e2, lam):
     return kkt, gap
 
 
-def _exact_solve(G, H, alpha):
+def _exact_solve(G, H, alpha, width=None):
     """Lasso homotopy from c = 0 for every unconverged target of a batch.
 
-    H : (M, T); returns the (M, T) coefficients.  Each target follows its
+    H : (M, T); width : (T,) ints, the number of leading dictionary columns
+    each target may use, M for every target by default.  Returns the (M, T)
+    coefficients, 0 beyond each target's width.  Each target follows its
     piecewise-linear solution path as the level mu falls from max |h| to
     alpha (Osborne, Presnell & Turlach, 2000; Efron et al., 2004).  The first
     join is seeded: the column attaining max |h| joins with the sign of h_j,
@@ -146,20 +148,25 @@ def _exact_solve(G, H, alpha):
     column would make G_SS singular and one just dropped with sign s_j has
     1 - s_j a_j = -(Schur complement) * s_j d_j < 0; c_i drops only where
     s_i d_i < 0.  So the R live targets carry only s, mu and Z, and step in
-    lock-step rounds of one stacked solve.  A row whose level falls to alpha,
-    and every row left in the last of the 8 M + 64 rounds, leaves with the
-    code of that round's support at alpha, c_S = G_SS^-1 (h_S - alpha s_S) =
+    lock-step rounds of one stacked solve.  A column beyond its target's width
+    has h = 0 and Z = 0, so it never joins: the path is the one over the
+    leading columns alone.  A row whose level falls to alpha, and every row
+    left in the last of the 8 M + 64 rounds, leaves with the code of that
+    round's support at alpha, c_S = G_SS^-1 (h_S - alpha s_S) =
     u - alpha d from the round's own solve, so no code is carried.  LAPACK
     solves each block of the stack on its own and the rows keep their order,
     so a code does not depend on its batch.  The caller certifies the result.
     """
     M, T = H.shape
+    allowed = np.arange(M)[:, None] < (np.full(T, M) if width is None else width)
+    H = np.where(allowed, H, 0.0)
     c = np.zeros((T, M))
     mu = np.abs(H).max(axis=0, initial=0.0)
     rows = np.flatnonzero(mu > alpha)
     # row i is target rows[i]: st[i] = [h, s, Z], [h, s] its right-hand sides
     st = np.zeros((rows.size, 5, M))
-    st[:, 0], st[:, 2], st[:, 3], ml = H.T[rows], -1.0, 1.0, mu[rows]
+    st[:, 0], st[:, 3], ml = H.T[rows], allowed.T[rows], mu[rows]
+    st[:, 2] = -st[:, 3]
     # per event kind (join+, join-, drop): the [s, Z] it sets at its column,
     # den = xd - shift and the floor of Z * den
     sets = np.array([[1.0, 0.0, 0.0, -1.0], [-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]])
@@ -193,12 +200,15 @@ def _exact_solve(G, H, alpha):
     return c.T
 
 
-def _cd_core(G, H, xnorm2, lam, tol):
+def _cd_core(G, H, xnorm2, lam, tol, width=None):
     """Certified codes and objectives for targets sharing one dictionary.
 
     G : (M, M) dictionary Gram, M >= 1; H : (M, T) dictionary-target inner
     products; xnorm2 : (T,) squared target norms; all finite, as the public
-    entry points ensure.  The one cost path of the package: one
+    entry points ensure.  width : (T,) ints, the number of leading columns
+    each target is coded over (M for every target by default); the
+    certificates read correlation 0 beyond it, so each target is certified
+    over its leading columns alone.  The one cost path of the package: one
     :func:`_exact_solve` call from zero, certified once.  A target passes
     when its duality gap is below 3/4 and its KKT violation below 1/2 of the
     tolerance (margin for the exact recomputation done by callers); the
@@ -212,10 +222,13 @@ def _cd_core(G, H, xnorm2, lam, tol):
     attribute, so other modules call ``lasso._cd_core`` looked up at call
     time; a ``from .lasso import _cd_core`` binding would hide their calls.
     """
-    C = _exact_solve(G, H, 1.0 / lam)
+    M, T = H.shape
+    width = np.full(T, M) if width is None else width
+    C = _exact_solve(G, H, 1.0 / lam, width)
     GC = G @ C
     e2 = np.maximum(xnorm2 - 2.0 * (C * H).sum(axis=0) + (C * GC).sum(axis=0), 0.0)
-    kkt, gap = _certificates(H - GC, C, e2, lam)
+    corr = np.where(np.arange(M)[:, None] < width, H - GC, 0.0)
+    kkt, gap = _certificates(corr, C, e2, lam)
     # float noise on the gap grows with lam
     done = (gap <= 0.75 * tol) & (kkt <= 0.5 * tol)
     if not done.all():

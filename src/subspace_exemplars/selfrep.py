@@ -95,14 +95,25 @@ class _CostEvaluator:
             out[free] = self.solve(sel, todo)[0][back]
         return out
 
-    def solve(self, sel: list[int], classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Costs and codes of distinct free classes, in one solver call."""
+    def solve(self, sel: list[int], classes: np.ndarray,
+              lone: Sequence[int] = ()) -> tuple[np.ndarray, np.ndarray]:
+        """Costs and codes of distinct free classes, in one solver call.
+
+        The same call prices, after the classes, the point sel[i] over
+        sel[:i] for each position i in ``lone``.  A NoConvergence failure
+        names the point index of its target.
+        """
         A = self.points[:, sel]
+        picks = [sel[i] for i in lone]
+        targets = np.concatenate([classes, picks]).astype(np.intp)
+        # the classes' columns are the same product as without lone points
+        H = np.hstack([A.T @ self.points[:, classes], A.T @ self.points[:, picks]])
+        width = np.concatenate([np.full(classes.size, len(sel)), lone]).astype(np.intp)
         try:
-            C, *_, costs = lasso._cd_core(A.T @ A, A.T @ self.points[:, classes],
-                                          self.xnorm2[classes], self.lam, DEFAULT_TOL)
+            C, *_, costs = lasso._cd_core(A.T @ A, H, self.xnorm2[targets], self.lam,
+                                          DEFAULT_TOL, width)
         except NoConvergence as err:
-            raise NoConvergence(err.gap, int(classes[err.target_index])) from None
+            raise NoConvergence(err.gap, int(targets[err.target_index])) from None
         return costs, C
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from subspace_exemplars import (
     DataMatrix,
     ExemplarSet,
+    NoConvergence,
     SubspaceSpec,
     cost_floor,
     f_cost,
@@ -249,9 +250,11 @@ def test_lazy_equals_naive_with_exact_ties(seed, d, n_base, copies, lam, draw):
     assert lazy.indices == naive.indices
 
 
-def test_lazy_makes_one_solver_call_per_step(monkeypatch):
+def test_lazy_calls_the_solver_only_at_steps_with_two_candidates(monkeypatch):
     # patched on the lasso module, as the benchmark hooks it: the count
-    # also pins that FFS looks the solver up there at call time
+    # also pins that FFS looks the solver up there at call time.  A step
+    # whose bounds leave one candidate picks it without a call; the next
+    # call prices it, or one call after the last step
     from subspace_exemplars import lasso
 
     calls = []
@@ -262,8 +265,43 @@ def test_lazy_makes_one_solver_call_per_step(monkeypatch):
         return cd_core(*args)
 
     monkeypatch.setattr(lasso, "_cd_core", counted)
-    ffs_lazy(_random_data(16, 6, 70), 100.0, 9, seed=3)
-    assert len(calls) == 8  # one call per step after the first draw
+    data = _random_data(16, 6, 70)
+    for k in (9, 11, 12):  # 5 lone steps, then 3, 5 and 4 calls; k = 11 ends on lone steps
+        calls.clear()
+        lone = [step.evals == 1 for step in ffs_lazy(data, 100.0, k, seed=3).trace[1:]]
+        assert lone.count(True) >= 5
+        assert len(calls) == lone.count(False) + lone[-1]
+
+    # a failure to certify a lone pick's cost names that pick's point index
+    def failing(*args):
+        lone = np.flatnonzero(args[5] < args[0].shape[0])
+        if lone.size:
+            raise NoConvergence(1.0, int(lone[-1]))
+        return cd_core(*args)
+
+    picks = ffs_lazy(data, 100.0, 9, seed=3).indices
+    monkeypatch.setattr(lasso, "_cd_core", failing)
+    with pytest.raises(NoConvergence) as err:
+        ffs_lazy(data, 100.0, 9, seed=3)
+    assert err.value.target_index == picks[5]  # the last of the lone picks of steps 1-5
+
+
+@pytest.mark.parametrize("case", ["demo 01", "lone steps", "lone steps at lam 1e4"])
+def test_every_lazy_trace_cost_is_its_picks_cost_over_the_selection_before_it(case):
+    # a lone pick's cost is priced in a later solver call, over only the
+    # selection it had; it must be the same cost as any other step's
+    if case == "demo 01":
+        data = synth_union_of_subspaces(SubspaceSpec(10, (3, 3), (60, 140), seed=1))
+        lam, k, seed = 100.0, 8, 7
+    else:
+        data = _random_data(16, 6, 70)
+        lam, k, seed = (100.0 if case == "lone steps" else 1e4), 11, 3
+    lazy = ffs_lazy(data, lam, k, seed=seed)
+    assert any(step.evals == 1 for step in lazy.trace)
+    assert lazy.indices == ffs_naive(data, lam, k, first_index=lazy.indices[0]).indices
+    for i, step in enumerate(lazy.trace):
+        cost = f_cost(data.points[:, step.selected], lazy.indices[:i], data, lam)
+        assert abs(step.f_value - cost) <= 1e-12 * cost, (i, step.f_value, cost)
 
 
 def test_the_committed_ffs_ladder_shows_one_selection_per_sigma():

@@ -558,6 +558,43 @@ def test_a_code_does_not_depend_on_its_batch(seed, d, n_base, copies, axes, targ
     assert lasso._exact_solve(G, H[:, part], alpha).tobytes() == whole[:, part].tobytes()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 7),
+    n_base=st.integers(1, 8),
+    copies=st.lists(st.tuples(st.integers(0, 7), st.sampled_from([1.0, -1.0])), max_size=5),
+    axes=st.booleans(),
+    targets=st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(0, 40)), min_size=1,
+                     max_size=16),
+    alpha=st.sampled_from([0.9, 0.3, 1e-2, 1e-4]),
+    draw=st.data(),
+)
+def test_a_target_of_width_w_is_coded_over_the_first_w_columns(seed, d, n_base, copies, axes,
+                                                                targets, alpha, draw):
+    # each target of a wider batch may use only its leading columns: its
+    # code is that of the same target solved over those columns alone, up to
+    # the rounding of the wider bordered solves, and _cd_core certifies it
+    # over them, reading no correlation beyond
+    a, X = _homotopy_case(seed, d, n_base, copies, axes, targets, alpha)
+    G, H = a.T @ a, a.T @ X
+    M, T = H.shape
+    assert (lasso._exact_solve(G, H, alpha, np.full(T, M)).tobytes()
+            == lasso._exact_solve(G, H, alpha).tobytes())
+    width = np.array(draw.draw(st.lists(st.integers(1, M), min_size=T, max_size=T), label="w"))
+    got = lasso._cd_core(G, H, (X * X).sum(axis=0), 1.0 / alpha, lasso.DEFAULT_TOL, width)[0]
+    for j, w in enumerate(width):
+        alone = lasso._exact_solve(G[:w, :w], H[:w, [j]], alpha)[:, 0]
+        assert not got[w:, j].any()
+        scale = 1e-12 * max(1.0, np.abs(alone).sum())
+        objectives = [_objective(a[:, :w], X[:, j], 1.0 / alpha, c) for c in (got[:w, j], alone)]
+        assert abs(objectives[0] - objectives[1]) <= scale
+        # with a repeated leading column the optimum need not be unique
+        if not (np.abs(G[:w, :w][np.triu_indices(w, 1)]) > 1.0 - 1e-9).any():
+            assert np.array_equal(np.sign(got[:w, j]), np.sign(alone))
+            assert np.abs(got[:w, j] - alone).max() <= scale
+
+
 @pytest.mark.parametrize("lam", [3.0, 10.0, 100.0])
 def test_an_orthonormal_dictionary_takes_one_solve_per_coordinate_above_alpha(monkeypatch, lam):
     # with G = I the path joins the coordinates of x in order of size, one per
@@ -579,13 +616,21 @@ def test_an_orthonormal_dictionary_takes_one_solve_per_coordinate_above_alpha(mo
 def test_the_committed_homotopy_replay_shows_one_path_per_workload():
     # BENCH_homotopy.json (scalebench/homotopy_replay.py) times the homotopy
     # of the versions it compares on the benchmark's s=0 ops; a speed-up that
-    # changed a selection or the rounds the paths take would not be one, and
-    # a side whose runs differ would not be deterministic
+    # changed a selection or the paths would not be one, and a side whose
+    # runs differ would not be deterministic.  Batching paths differently
+    # changes the calls and the rounds they take in lock-step, not the
+    # row-rounds; the change may take no more calls or rounds than the parent
     doc = json.loads((Path(__file__).resolve().parent.parent / "BENCH_homotopy.json").read_text())
-    seen = {}
-    for cells in doc["sides"].values():
+    seen, per_side = {}, {}
+    for side, cells in doc["sides"].items():
         for cell in cells:
             for run in cell["runs"]:
-                for key in ("digest", "rounds", "row_rounds"):
+                for key in ("digest", "row_rounds"):
                     seen.setdefault((cell["workload"], key), set()).add(run[key])
+                for key in ("calls", "rounds"):
+                    per_side.setdefault((side, cell["workload"], key), set()).add(run[key])
     assert seen and all(len(values) == 1 for values in seen.values()), seen
+    assert all(len(values) == 1 for values in per_side.values()), per_side
+    for (side, workload, key), (value,) in per_side.items():
+        if side == "change":
+            assert value <= min(per_side["parent", workload, key]), (workload, key)
