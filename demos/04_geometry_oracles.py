@@ -6,9 +6,11 @@ For exemplars X0 on the unit circle, three quantities coincide:
   * one over the inradius of conv(+-X0),
   * one over the cosine of the covering radius of +-X0.
 
-Each takes its own route: the worst-case cost solves the L1 linear program
-on an angle grid, the inradius is exact, read off the facets of the hull,
-and the covering radius is a grid search with no linear program.
+Each takes its own route: the worst-case cost is the exact L1 value at each
+direction of the covering radius's grid, the least over the pairs of
+independent exemplars (a basic solution in R^2 uses at most two), the
+inradius is exact, read off the facets of the hull, and the covering radius
+is a grid search.  Neither grid search solves a linear program.
 
 Also checks on random instances in R^3 that the Minkowski functional of
 conv(+-X0) equals the exact L1 minimization value.  Both solve

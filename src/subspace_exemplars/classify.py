@@ -18,6 +18,7 @@ from .cluster import ClusterAssignment
 from .dataset import DataMatrix, _as_ints
 from .ffs import ExemplarSet
 from .lasso import solve_lasso_batch
+from .selfrep import _indices
 
 __all__ = ["LabeledExemplars", "src_classify"]
 
@@ -77,10 +78,13 @@ class LabeledExemplars:
 
     @classmethod
     def from_data(cls, exemplars: ExemplarSet | Sequence[int], data: DataMatrix) -> "LabeledExemplars":
-        """Label selected indices from the dataset's ground-truth column."""
+        """Label selected indices from the dataset's ground-truth column.
+
+        Raises ValueError for an index outside [0, N).
+        """
         if data.labels is None:
             raise ValueError("dataset has no labels to read exemplar classes from")
-        idx = list(getattr(exemplars, "indices", exemplars))
+        idx = _indices(getattr(exemplars, "indices", exemplars), data.count)
         return cls.from_labels(idx, [int(data.labels[i]) for i in idx])
 
 
@@ -88,11 +92,12 @@ def src_classify(data: DataMatrix, exemplars: LabeledExemplars, lam: float) -> C
     """Classify every point by its minimum per-class reconstruction residual.
 
     Exemplar points keep their given labels (they are the supervision); ties
-    in the residual norms go to the lowest class id.
+    in the residual norms go to the lowest class id.  Raises ValueError for an
+    exemplar index outside [0, N).
     """
     if not exemplars.indices:
         raise ValueError("need at least one labeled exemplar")
-    sel = list(exemplars.indices)
+    sel = _indices(exemplars.indices, data.count)
     A = data.points[:, sel]
     C = solve_lasso_batch(A, data.points, lam).coeffs
 

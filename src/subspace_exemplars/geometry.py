@@ -11,19 +11,22 @@ self-representation machinery to convex geometry:
   compares the two, checks that the two entry points agree;
 * the chain tying the worst-case cost over the sphere to 1/inradius of
   conv(+-X0) and to 1/cos of the covering radius of +-X0.  Each of its
-  three quantities takes its own route: the worst-case cost is the L1
-  linear program on an angle grid (D = 2), the inradius is exact, read off
-  the hull's facets (Qhull, any D >= 2), and the covering radius is a grid
-  search with no linear program (D in {2, 3}).
+  three quantities takes its own route: the worst-case cost is the exact L1
+  value at each direction of the covering radius's grid, the least over the
+  2-column bases (D = 2), the inradius is exact, read off the hull's facets
+  (Qhull, any D >= 2), and the covering radius is a grid search (D in
+  {2, 3}).  Neither grid search solves a linear program.
 
 The LPs are infeasibility-aware: a target outside the span yields the +inf
 sentinel rather than an error.
-scipy's LP solver loads on the first LP, and ``scipy.spatial`` on the first
-``inradius`` call, not when the module is imported.
+scipy's LP solver loads on the first LP, which the chain never makes, and
+``scipy.spatial`` on the first ``inradius`` call, not when the module is
+imported.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -186,41 +189,32 @@ def covering_radius(points_on_sphere: np.ndarray, grid_resolution: float) -> flo
     return float(np.arccos(best.min()))
 
 
-def _coarse_to_fine_angles(resolution: float, objective) -> float:
-    """Maximize a per-angle objective on [0, pi) by two-stage grid search.
-
-    The hull gauge is piecewise smooth with pieces far wider than the coarse
-    step, so refining around the best few coarse angles reaches the same
-    maximum as a full fine sweep.
-    """
-    coarse = max(resolution, 0.02)
-    angles = np.arange(0.0, math.pi, coarse)
-    vals = np.array([objective(t) for t in angles])
-    best = -math.inf
-    for i in np.argsort(vals)[-3:]:
-        lo, hi = angles[i] - coarse, angles[i] + coarse
-        fine = np.arange(lo, hi + 0.5 * resolution, resolution)
-        for t in fine:
-            best = max(best, objective(t))
-    return best
-
-
 def sup_l1_cost_on_sphere(points: np.ndarray, grid_resolution: float) -> float:
-    """Supremum over the unit circle of the exact L1 minimization value.
+    """Supremum over the unit circle of the exact L1 minimization value (D = 2).
 
-    The grid-sup counterpart of the worst-case cost at lam = infinity,
-    computed through the equality-constrained LP route (D = 2).
+    The value of ``l1_min_exact(points, x)``, exactly, at every direction x of
+    the grid that ``covering_radius`` walks, so the result never exceeds the
+    true supremum.  In R^2 a basic optimal solution of min ||c||_1 subject to
+    A c = x uses at most two independent columns, so the value at x is the
+    least, over pairs i < j with det = a_i x a_j != 0, of
+    (|x x a_j| + |a_i x x|) / |det|.  That costs O(M^2 / grid_resolution).
+    A pair with det = 0 (a duplicated, antipodal or zero column) is skipped;
+    with no independent pair the value is +inf, as off the span.
     """
     _check_resolution(grid_resolution)
     a = np.asarray(points, dtype=float)
+    if a.ndim != 2 or not np.isfinite(a).all():
+        raise ValueError("points must be a finite (D, M) array")
     if a.shape[0] != 2:
         raise UnsupportedDim("sup over the sphere is implemented for D = 2")
-
-    def value(t: float) -> float:
-        v, _ = l1_min_exact(a, np.array([math.cos(t), math.sin(t)]))
-        return v
-
-    return _coarse_to_fine_angles(grid_resolution, value)
+    x = _sphere_grid(2, grid_resolution)
+    cross = np.abs(np.outer(a[1], x[0]) - np.outer(a[0], x[1]))  # |x x a_k|, (M, G)
+    value = np.full(x.shape[1], math.inf)
+    for i, j in itertools.combinations(range(a.shape[1]), 2):
+        det = a[0, i] * a[1, j] - a[1, i] * a[0, j]
+        if det != 0.0:
+            value = np.minimum(value, (cross[i] + cross[j]) / abs(det))
+    return float(value.max())
 
 
 def inradius(hull: SymmetricHull) -> float:

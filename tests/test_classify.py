@@ -126,3 +126,13 @@ def test_labeled_exemplars_validation():
         LabeledExemplars.from_labels([0, 1], [1])
     with pytest.raises(ValueError):
         LabeledExemplars.from_data([0, 1], DataMatrix(np.eye(2)))
+
+
+@pytest.mark.parametrize("bad", [-1, 20])
+def test_an_exemplar_index_outside_the_data_is_rejected(bad):
+    # -1 would alias point N-1, and N would index past the data
+    data = synth_union_of_subspaces(SubspaceSpec(6, (2, 2), (10, 10), 0.0, 0))
+    with pytest.raises(ValueError, match=r"\[0, N=20\)"):
+        src_classify(data, LabeledExemplars((bad, 0), {bad: 1, 0: 0}), 1e4)
+    with pytest.raises(ValueError, match=r"\[0, N=20\)"):
+        LabeledExemplars.from_data([bad, 0], data)

@@ -16,6 +16,7 @@ from subspace_exemplars import (
     solve_lasso_batch,
     sup_l1_cost_on_sphere,
 )
+from subspace_exemplars.geometry import _sphere_grid
 
 
 def _unit(rng, d, m):
@@ -216,3 +217,34 @@ def test_grid_searches_reject_a_bad_resolution(resolution):
     for search in (covering_radius, sup_l1_cost_on_sphere):
         with pytest.raises(ValueError, match=f"got {resolution}"):
             search(np.eye(2), resolution)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sup_is_the_grid_max_of_the_l1_program(seed):
+    # the exact value at each direction of the covering radius's grid, also
+    # with a duplicated, an antipodal, a zero and a non-unit column
+    rng = np.random.default_rng(seed)
+    pts = _unit(rng, 2, int(rng.integers(2, 6)))
+    pts = np.hstack([pts, pts[:, :1], -pts[:, -1:], np.zeros((2, 1)), 2.5 * _unit(rng, 2, 1)])
+    grid = _sphere_grid(2, 0.05)
+    want = max(l1_min_exact(pts, grid[:, g])[0] for g in range(grid.shape[1]))
+    assert abs(sup_l1_cost_on_sphere(pts, 0.05) / want - 1.0) <= 1e-12
+
+
+def test_sup_of_a_rank_one_set_is_infinite():
+    # the grid's first direction is e1, where a pair of e1 with the zero
+    # column would be 0 / 0
+    for line in ([[0.6, -0.6, 1.2, 0.0], [0.8, -0.8, 1.6, 0.0]], [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]):
+        assert sup_l1_cost_on_sphere(np.array(line), 0.05) == math.inf
+
+
+def test_sup_over_a_zero_column_on_a_grid_direction():
+    pts = np.array([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 0.0, 0.0]])
+    t = np.arange(0.0, 2.0 * math.pi, 0.05)
+    want = (np.abs(np.cos(t)) + np.abs(np.sin(t))).max()
+    assert abs(sup_l1_cost_on_sphere(pts, 0.05) / want - 1.0) <= 1e-12
+
+
+def test_sup_rejects_a_nan_point():
+    with pytest.raises(ValueError, match="finite"):
+        sup_l1_cost_on_sphere(np.array([[np.nan, 1.0], [0.0, 0.0]]), 0.05)

@@ -1,17 +1,21 @@
 """The import contract: scipy loads only at the call that needs it.
 
 Importing the package, selecting, classifying and clustering load no scipy
-module; only the scoring metrics and the geometry oracles load
-``scipy.optimize``, and the inradius oracle ``scipy.spatial``.  Each check runs in a fresh interpreter, since the test
+module; only the scoring metrics and the linear-program oracles
+(``l1_min_exact``, ``minkowski_functional``) load ``scipy.optimize``, and the
+inradius oracle ``scipy.spatial``.  The circle's worst-case cost solves no
+linear program.  Each check runs in a fresh interpreter, since the test
 session has loaded scipy long ago.
 """
 
 import importlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import subspace_exemplars
@@ -37,6 +41,8 @@ se.src_classify(data, se.LabeledExemplars.from_data(ex, data), 1e4)
 out["classify"] = scipy_modules()
 se.esc_pipeline(data, 1e4, 6, 3, 2)
 out["cluster"] = scipy_modules()
+out["sup"] = se.sup_l1_cost_on_sphere(np.eye(2), 0.1)
+out["sphere"] = scipy_modules()
 truth, pred = [0, 0, 0, 1, 1, 1, 2, 2], [1, 1, 0, 0, 0, 0, 2, 3]
 out["accuracy"] = se.clustering_accuracy(truth, pred)
 out["fscore"] = se.clustering_fscore(truth, pred)
@@ -66,6 +72,13 @@ def test_selection_and_classification_load_no_scipy(child):
 
 def test_clustering_loads_no_scipy(child):
     assert child["cluster"] == []
+
+
+def test_the_worst_case_cost_over_the_circle_loads_no_scipy_optimize(child):
+    assert not [m for m in child["sphere"] if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+    # over the identity the L1 value at (cos t, sin t) is |cos t| + |sin t|
+    t = np.arange(0.0, 2.0 * math.pi, 0.1)
+    assert child["sup"] == pytest.approx((np.abs(np.cos(t)) + np.abs(np.sin(t))).max(), abs=1e-12)
 
 
 def test_scipy_backed_calls_return_the_same_values(child):
