@@ -5,38 +5,30 @@
 
 For each workload (``esc-imbalanced`` and ``src-classify``) the script builds
 the s=0 cases with ``perfbench/workloads.make_cases`` and runs
-``workloads.run_op`` on every case.  Every run is a fresh process with BLAS
-capped at one thread, the workloads interleaved so that a slow stretch of the
-host does not hold one workload's runs.  A run makes one untimed counting
-pass, which records the solver calls (``lasso._exact_solve`` calls), the
-rounds (the stacked ``np.linalg.solve`` calls made inside them) and the
-row-rounds (the sum of those solves' leading dimensions), and then PASSES
-timed passes, which record the CPU seconds of the whole op pass and of
-``_exact_solve`` alone (the median pass of each), and ``workloads.digest`` of
-the results.  Counts and digest depend on the code only, not on the host.
-The script imports ``perfbench`` from this checkout and the package from
-``--src``, so it can measure another checkout's ``src`` directory.
-
-The results of one side are written under ``sides[<side>]`` of the output
-file (``BENCH_homotopy.json`` at the root of the repository by default); the
-other sides already in that file are kept, so two runs compare two versions.
+``workloads.run_op`` on every case.  Every workload runs ``--runs`` times
+through ``harness.run``, each in a fresh process with BLAS capped at one
+thread.  A run makes one untimed counting pass, which records the solver
+calls (``lasso._exact_solve`` calls), the rounds (the stacked
+``np.linalg.solve`` calls made inside them) and the row-rounds (the sum of
+those solves' leading dimensions), and then PASSES timed passes, which
+record the CPU seconds of the whole op pass and of ``_exact_solve`` alone
+(the median pass of each), and ``workloads.digest`` of the results.  Counts
+and digest depend on the code only, not on the host.  The children import
+``perfbench`` from this checkout and the package from ``--src``.  The
+results go under ``sides[<side>]`` of ``BENCH_homotopy.json`` at the root of
+the repository by default.
 """
 
-import argparse
-import json
-import os
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import harness
+
 WORKLOADS = ("esc-imbalanced", "src-classify")
 SEED = 0
 RUNS = 5
 PASSES = 5
-BLAS_THREADS = "1"
 
 
 def run_workload(name: str) -> dict:
@@ -96,58 +88,20 @@ def run_workload(name: str) -> dict:
             "op_cpu_s": statistics.median(op_cpu), "solve_cpu_s": statistics.median(solve_cpu)}
 
 
-def spread(values: list[float]) -> dict:
-    return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+SUMMARIES = {"calls": harness.distinct, "rounds": harness.distinct,
+             "row_rounds": harness.distinct, "digest": harness.distinct,
+             "op_cpu_s": harness.spread, "solve_cpu_s": harness.spread}
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--side", help="name of the version measured, e.g. parent or change")
-    ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the package")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_homotopy.json"))
-    ap.add_argument("--runs", type=int, default=RUNS, help="fresh processes per workload")
-    ap.add_argument("--workload", help=argparse.SUPPRESS)  # one run, in a child
-    args = ap.parse_args()
-    if args.workload is not None:
-        print(json.dumps(run_workload(args.workload)))
-        return 0
-    if not args.side:
-        ap.error("--side is required")
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([args.src, str(ROOT)]),
-               OPENBLAS_NUM_THREADS=BLAS_THREADS, OMP_NUM_THREADS=BLAS_THREADS,
-               MKL_NUM_THREADS=BLAS_THREADS)
-    runs = {name: [] for name in WORKLOADS}
-    for _ in range(args.runs):
-        for name in WORKLOADS:
-            out = subprocess.run([sys.executable, __file__, "--workload", name], env=env,
-                                 capture_output=True, text=True, check=True)
-            runs[name].append(json.loads(out.stdout.strip().splitlines()[-1]))
-            print(args.side, name, runs[name][-1], flush=True)
-
-    cells = []
-    for name, rs in runs.items():
-        cells.append({
-            "workload": name,
-            "runs": rs,
-            **{key: sorted({r[key] for r in rs}) for key in
-               ("calls", "rounds", "row_rounds", "digest")},
-            "op_cpu_s": spread([r["op_cpu_s"] for r in rs]),
-            "solve_cpu_s": spread([r["solve_cpu_s"] for r in rs]),
-        })
-    path = Path(args.out)
-    doc = json.loads(path.read_text()) if path.exists() else {}
-    doc.update({
+    ap = harness.parser(__doc__, "BENCH_homotopy.json", RUNS)
+    ap.add_argument("--runs", type=int, help="fresh processes per workload")
+    return harness.run(ap, __file__, "workload", WORKLOADS, run_workload, SUMMARIES, lambda runs: {
         "command": "python3 scalebench/homotopy_replay.py --side <side> [--src <dir>]",
         "seed": SEED,
-        "runs_per_workload": args.runs,
+        "runs_per_workload": runs,
         "passes_per_run": PASSES,
-        "blas_threads": int(BLAS_THREADS),
-        "host": f"{os.cpu_count()} CPUs, {sys.platform}, Python {sys.version.split()[0]}",
     })
-    doc.setdefault("sides", {})[args.side] = cells
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return 0
 
 
 if __name__ == "__main__":

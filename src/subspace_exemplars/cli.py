@@ -135,12 +135,6 @@ def _read_exemplar_labels(path, n: int) -> dict[int, int]:
     return {int(key): c for key, c in raw.items()}
 
 
-def _write_label_file(labels, path) -> None:
-    with open(path, "w") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
-
-
 def _cmd_synth(args) -> int:
     dims = tuple(int(v) for v in args.dims.split(","))
     counts = tuple(int(v) for v in args.counts.split(","))
@@ -181,7 +175,8 @@ def _cmd_cluster(args) -> int:
         data, args.lam, args.k, args.t, args.n_clusters, args.seed,
         selection=args.method, return_details=True,
     )
-    _write_label_file(assignment.labels, args.labels_out)
+    with open(args.labels_out, "w") as fh:  # plain text, whatever the file name
+        np.savetxt(fh, assignment.labels, fmt="%d")
     report = _metrics_report(data.labels, assignment.labels, exemplars.indices, codes.coeffs)
     _write_json(args, args.metrics_out, metrics=report, exemplars=list(exemplars.indices))
     return 0
@@ -198,7 +193,8 @@ def _cmd_classify(args) -> int:
     exemplar_set = select(data, args.method, args.lam, args.k, args.seed)
     lab = LabeledExemplars.from_labels(list(exemplar_set.indices), labels)
     assignment = src_classify(data, lab, args.lam)
-    _write_label_file(assignment.labels, args.labels_out)
+    with open(args.labels_out, "w") as fh:  # plain text, whatever the file name
+        np.savetxt(fh, assignment.labels, fmt="%d")
     report = _metrics_report(data.labels, assignment.labels, exemplar_set.indices)
     _write_json(args, args.metrics_out, metrics=report, exemplars=list(exemplar_set.indices))
     return 0

@@ -66,6 +66,13 @@ def _as_ints(values, what: str) -> np.ndarray:
     return a.astype(int)
 
 
+def _as_int(value, what: str) -> int:
+    """One value as a Python int, exact beyond int64; a non-integral value raises ValueError."""
+    if not isinstance(value, (int, np.integer)):
+        _as_ints(value, what)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """Column-stacked data points with optional ground-truth labels.
@@ -135,8 +142,13 @@ class SubspaceSpec:
         counts = tuple(_as_ints(self.samples_per_subspace, "samples_per_subspace").tolist())
         object.__setattr__(self, "subspace_dims", dims)
         object.__setattr__(self, "samples_per_subspace", counts)
+        # the seed is kept as a Python int, since default_rng takes seeds beyond int64
+        for name in ("ambient_dim", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.ambient_dim < 1:
-            raise ValueError("ambient_dim must be >= 1")
+            raise ValueError(f"ambient_dim must be >= 1, got {self.ambient_dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(dims) == 0 or len(dims) != len(counts):
             raise ValueError("subspace_dims and samples_per_subspace must be equal-length and nonempty")
         if any(d < 1 for d in dims):
@@ -229,12 +241,14 @@ def save_csv(m: DataMatrix, path, with_labels: bool = False) -> None:
     """
     if with_labels and m.labels is None:
         raise ValueError("with_labels requested but the matrix has no labels")
+    # an open handle, since np.savetxt gzips a file name ending in .gz
     with open(path, "w") as fh:
-        for j in range(m.count):
-            fields = [f"{v:.17g}" for v in m.points[:, j]]
-            if with_labels:
-                fields.append(str(int(m.labels[j])))
-            fh.write(",".join(fields) + "\n")
+        if with_labels:
+            # an object array keeps each label an exact int (a float one rounds beyond 2**53)
+            rows = np.column_stack([m.points.T.astype(object), m.labels.astype(object)])
+            np.savetxt(fh, rows, fmt=["%.17g"] * m.dim + ["%d"], delimiter=",")
+        else:
+            np.savetxt(fh, m.points.T, fmt="%.17g", delimiter=",")
 
 
 def load_csv(path, with_labels: bool = False) -> DataMatrix:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import DataMatrix, _as_ints
+from .dataset import DataMatrix, _as_int, _as_ints
 from .lasso import DEFAULT_TOL, _check_params
 from .selfrep import _CostEvaluator
 
@@ -70,13 +70,14 @@ class ExemplarSet:
         idx = tuple(_as_ints(self.indices, "exemplar indices").tolist())
         if len(set(idx)) != len(idx):
             raise ValueError("exemplar indices must be distinct")
+        if idx and min(idx) < 0:
+            raise ValueError(f"exemplar indices must be >= 0, got {min(idx)}")
         object.__setattr__(self, "indices", idx)
         # kept as Python ints, since a seed may exceed int64
         for name in ("k", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                _as_ints(value, name)
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        if self.k != len(idx):
+            raise ValueError(f"k must equal the number of indices, {len(idx)}, got {self.k}")
 
     @property
     def total_evals(self) -> int:

@@ -115,6 +115,8 @@ def imbalance(selected_class_counts: Sequence[float]) -> float:
     took everything.
     """
     s = np.asarray(selected_class_counts, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("counts must be finite (no NaN or inf)")
     if s.size == 0 or s.sum() <= 0:
         raise EmptySelection("selected class counts are empty")
     if np.any(s < 0):
@@ -137,6 +139,8 @@ def subspace_preserving_rate(codes: np.ndarray, exemplar_labels, point_labels) -
     a warning.
     """
     C = np.abs(np.asarray(codes, dtype=float))
+    if not np.isfinite(C).all():
+        raise ValueError("codes must be finite (no NaN or inf)")
     ex = np.asarray(exemplar_labels)
     pt = np.asarray(point_labels)
     if C.shape[0] != ex.shape[0]:

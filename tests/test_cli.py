@@ -39,6 +39,14 @@ def test_synth_rejects_a_bad_noise_level(tmp_path, capsys, sigma):
     assert not out.exists()
 
 
+def test_synth_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = _run("synth", "--D", 5, "--dims", "3", "--counts", "10", "--seed", -1, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_synth_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     _run("synth", "--D", 4, "--dims", "2,2", "--counts", "6,6", "--seed", 3, "--out", a)
@@ -276,6 +284,16 @@ def test_eval_perfect_prediction(dataset, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["metrics"]["accuracy"] == 100.0
     assert doc["metrics"]["fscore"] == 100.0
+
+
+@pytest.mark.parametrize("command", ["cluster", "classify"])
+def test_a_label_file_named_gz_is_plain_text(dataset, tmp_path, command):
+    labels, metrics = tmp_path / "pred.gz", tmp_path / "m.json"
+    extra = ["--n-clusters", 2] if command == "cluster" else []
+    assert _run(command, "--data", dataset, "--with-labels", "--lambda", 100, "--k", 4,
+                "--seed", 0, *extra, "--labels-out", labels, "--metrics-out", metrics) == 0
+    assert len(labels.read_text().split()) == 40
+    assert _run("eval", "--truth", labels, "--pred", labels, "--out", tmp_path / "e.json") == 0
 
 
 def test_eval_rejects_non_integer_labels(tmp_path, capsys):

@@ -214,6 +214,22 @@ def test_csv_labels_round_trip(tmp_path):
     assert np.array_equal(back.points, m.points)
 
 
+def test_csv_bytes_are_17_significant_digits_and_integer_labels(tmp_path):
+    m = DataMatrix(np.array([[-0.0, 0.1, 1e-300], [2.0 / 3.0, -1.0, 123456789.125]]),
+                   labels=[3, 0, 2**62 + 1])
+    path = tmp_path / "m.csv.gz"  # plain text whatever the name; a label beyond 2**53 stays exact
+    save_csv(m, path, with_labels=True)
+    assert path.read_bytes() == (b"-0,0.66666666666666663,3\n"
+                                 b"0.10000000000000001,-1,0\n"
+                                 b"1e-300,123456789.125,4611686018427387905\n")
+    assert load_csv(path, with_labels=True).labels.tolist() == [3, 0, 2**62 + 1]
+    save_csv(m, path)
+    assert path.read_bytes() == (b"-0,0.66666666666666663\n0.10000000000000001,-1\n"
+                                 b"1e-300,123456789.125\n")
+    back = load_csv(path)
+    assert np.array_equal(back.points, m.points) and np.signbit(back.points[0, 0])
+
+
 def test_csv_ragged_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0\n")
@@ -256,11 +272,14 @@ _UNIT = normalize_columns(DataMatrix(np.random.default_rng(0).standard_normal((3
         (lambda: ffs_naive(_UNIT, 10.0, 2, first_index=1.5), "1.5"),
         (lambda: SubspaceSpec(5, (2.5, 2), (10, 10)), "2.5"),
         (lambda: SubspaceSpec(5, (2, 2), (10.9, 10)), "10.9"),
+        (lambda: SubspaceSpec(2.5, (1,), (3,)), "2.5"),
+        (lambda: SubspaceSpec(math.nan, (1,), (3,)), "nan"),
         (lambda: pca_project(_UNIT, 2.7), "2.7"),
     ],
     ids=["DataMatrix", "ClusterAssignment", "LabeledExemplars", "ExemplarSet",
          "ExemplarSet.from_json", "F_cost", "f_cost", "ffs_naive", "SubspaceSpec.dims",
-         "SubspaceSpec.counts", "pca_project"],
+         "SubspaceSpec.counts", "SubspaceSpec.ambient_dim", "SubspaceSpec.ambient_dim.nan",
+         "pca_project"],
 )
 def test_a_fractional_id_is_rejected_not_truncated(build, value):
     with pytest.raises(ValueError, match=f"integral, got {value}$"):
@@ -293,10 +312,12 @@ _DATA = synth_union_of_subspaces(SubspaceSpec(6, (2, 2), (5, 5), 0.0, 0))
         (lambda: ExemplarSet((1, 2), 2, 0.5), "seed", "0.5"),
         (lambda: ExemplarSet.from_json('{"indices": [1, 2], "k": 2.7, "seed": 0}'), "k", "2.7"),
         (lambda: ExemplarSet.from_json('{"indices": [1, 2], "k": 2, "seed": 0.5}'), "seed", "0.5"),
+        (lambda: SubspaceSpec(5, (3,), (4,), seed=1.5), "seed", "1.5"),
     ],
     ids=["ffs_lazy", "ffs_naive", "select", "select_random", "esc_pipeline.k", "esc_pipeline.t",
          "esc_pipeline.n_clusters", "build_knn_graph", "ClusterAssignment", "ExemplarSet.k",
-         "ExemplarSet.seed", "ExemplarSet.from_json.k", "ExemplarSet.from_json.seed"],
+         "ExemplarSet.seed", "ExemplarSet.from_json.k", "ExemplarSet.from_json.seed",
+         "SubspaceSpec.seed"],
 )
 def test_a_fractional_count_or_seed_is_rejected_at_the_boundary(build, what, value):
     # not a TypeError from deep inside, and not a silently kept or truncated value
@@ -313,3 +334,32 @@ def test_integral_float_counts_pass_and_seeds_stay_exact():
     assert (out.k, out.seed) == (2, 2**64 - 1)
     assert type(out.k) is int and type(out.seed) is int
     assert ExemplarSet((1, 2), 2, 2**70).seed == 2**70
+    spec = SubspaceSpec(5.0, (3,), (4,), seed=np.uint64(2**64 - 1))
+    assert (spec.ambient_dim, spec.seed) == (5, 2**64 - 1)
+    assert type(spec.ambient_dim) is int and type(spec.seed) is int
+    assert synth_union_of_subspaces(SubspaceSpec(5, (3,), (4,), seed=2**70)).count == 4
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SubspaceSpec(0, (1,), (3,)), "ambient_dim must be >= 1, got 0"),
+        (lambda: SubspaceSpec(-2.0, (1,), (3,)), "ambient_dim must be >= 1, got -2"),
+        (lambda: SubspaceSpec(5, (3,), (4,), seed=-1), "seed must be >= 0, got -1"),
+        (lambda: ExemplarSet((-1, 2), 2, 0), "exemplar indices must be >= 0, got -1"),
+        (lambda: ExemplarSet.from_json('{"indices": [3, -2], "k": 2, "seed": 0}'),
+         "exemplar indices must be >= 0, got -2"),
+        (lambda: ExemplarSet((1, 2), 3, 0), "k must equal the number of indices, 2, got 3"),
+        (lambda: ExemplarSet.from_json('{"indices": [1, 2], "k": 5, "seed": 0}'),
+         "k must equal the number of indices, 2, got 5"),
+        (lambda: ExemplarSet((), 1, 0), "k must equal the number of indices, 0, got 1"),
+    ],
+    ids=["SubspaceSpec.ambient_dim.zero", "SubspaceSpec.ambient_dim.negative",
+         "SubspaceSpec.seed.negative", "ExemplarSet.negative_index",
+         "ExemplarSet.from_json.negative_index", "ExemplarSet.k", "ExemplarSet.from_json.k",
+         "ExemplarSet.empty"],
+)
+def test_an_out_of_range_count_seed_or_index_is_rejected_at_the_boundary(build, message):
+    # an index of -1 would alias point N-1 under points[:, indices]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

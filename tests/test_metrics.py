@@ -160,3 +160,12 @@ def test_sp_rate_shape_checks():
         subspace_preserving_rate(np.ones((2, 2)), [0], [0, 0])
     with pytest.raises(LengthMismatch):
         subspace_preserving_rate(np.ones((2, 2)), [0, 1], [0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_metrics_reject_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        imbalance([bad, 1.0])
+    codes = np.array([[1.0, 0.5], [0.0, bad]])
+    with pytest.raises(ValueError, match="finite"):
+        subspace_preserving_rate(codes, [0, 1], [0, 0])
