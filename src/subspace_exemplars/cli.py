@@ -21,15 +21,11 @@ from .classify import LabeledExemplars, src_classify
 from .cluster import esc_pipeline
 from .dataset import ParseError, SubspaceSpec, load_csv, save_csv, synth_union_of_subspaces
 from .ffs import METHODS, select
-from .geometry import (
-    SymmetricHull,
-    covering_radius,
-    inradius,
-    l1_min_exact,
-    minkowski_functional,
-    sup_l1_cost_on_sphere,
-)
+from .geometry import SymmetricHull, _l1_lp, covering_radius, inradius, sup_l1_cost_on_sphere
+from .lasso import solve_lasso_batch
 from .metrics import clustering_accuracy, clustering_fscore, imbalance, subspace_preserving_rate
+
+_EQ15_LAMS = (10.0, 100.0, 1000.0)  # the levels at which the eq15 oracle codes each target
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -212,22 +208,22 @@ def _cmd_oracle(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     if args.check == "eq15":
-        # Minkowski functional of conv(+-X0) must equal the exact L1 cost
+        # the gauge g of x over conv(+-X0) and the LP's dual point nu bracket
+        # each certified cost: g - |nu|^2 / (2 lam) <= f_lam(x) <= g
         worst = 0.0
         for _ in range(args.trials):
             m = int(rng.integers(3, 8))
             pts = rng.standard_normal((3, m))
             pts /= np.linalg.norm(pts, axis=0)
-            coeff = rng.standard_normal(m)
-            x = pts @ coeff
+            x = pts @ rng.standard_normal(m)
             n = np.linalg.norm(x)
             if n < 1e-9:
                 continue
             x /= n
-            hull = SymmetricHull.from_points(pts)
-            gauge = minkowski_functional(hull, x)
-            lp, _ = l1_min_exact(pts, x)
-            worst = max(worst, abs(gauge - lp))
+            gauge, _, nu = _l1_lp(pts, x)
+            for lam in _EQ15_LAMS:
+                f = solve_lasso_batch(pts, x, lam).objectives[0]
+                worst = max(worst, gauge - nu @ nu / (2.0 * lam) - f, f - gauge)
         doc = {"check": "eq15", "trials": args.trials, "max_deviation": float(worst),
                "tolerance": 1e-8, "pass": bool(worst <= 1e-8)}
     else:

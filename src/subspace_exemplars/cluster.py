@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataMatrix, _as_ints
+from .dataset import DataMatrix, _as_ints, _as_seed
 from .ffs import select
 from .lasso import solve_lasso_batch
 
@@ -274,7 +274,7 @@ def esc_pipeline(
         raise ValueError(f"k={k} must be in [1, N={data.count}]")
     if t < 1:
         raise ValueError(f"t={t} must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     seed_sel = int(rng.integers(2**63))
     exemplars = select(data, selection, lam, k, seed_sel)
 

@@ -56,21 +56,36 @@ class RaggedRows(ValueError):
 
 
 def _as_ints(values, what: str) -> np.ndarray:
-    """A new int array of the values; a value that is not integral raises ValueError."""
+    """A new int64 array of the values; a value not integral or beyond int64 raises ValueError."""
     a = np.asarray(values)
     if a.dtype.kind not in "biu":
         f = a.astype(float)
         bad = ~np.isfinite(f) | (f != np.trunc(f))
         if bad.any():
             raise ValueError(f"{what} must be integral, got {f[bad][0]}")
-    return a.astype(int)
+    try:  # a float or uint64 beyond int64 wraps silently, a Python int overflows
+        with np.errstate(invalid="ignore"):
+            out = a.astype(int)
+    except OverflowError:
+        out = None
+    if out is None or a.dtype.kind in "uf" and (out != a).any():
+        raise ValueError(f"{what} must fit in int64, got {max(a.flat, key=abs)}")
+    return out
 
 
 def _as_int(value, what: str) -> int:
     """One value as a Python int, exact beyond int64; a non-integral value raises ValueError."""
-    if not isinstance(value, (int, np.integer)):
-        _as_ints(value, what)
+    if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+        raise ValueError(f"{what} must be integral, got {float(value)}")
     return int(value)
+
+
+def _as_seed(value) -> int:
+    """A seed as a Python int, exact beyond int64 as default_rng takes it; a negative one raises."""
+    seed = _as_int(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -142,13 +157,10 @@ class SubspaceSpec:
         counts = tuple(_as_ints(self.samples_per_subspace, "samples_per_subspace").tolist())
         object.__setattr__(self, "subspace_dims", dims)
         object.__setattr__(self, "samples_per_subspace", counts)
-        # the seed is kept as a Python int, since default_rng takes seeds beyond int64
-        for name in ("ambient_dim", "seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        object.__setattr__(self, "ambient_dim", _as_int(self.ambient_dim, "ambient_dim"))
+        object.__setattr__(self, "seed", _as_seed(self.seed))
         if self.ambient_dim < 1:
             raise ValueError(f"ambient_dim must be >= 1, got {self.ambient_dim}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(dims) == 0 or len(dims) != len(counts):
             raise ValueError("subspace_dims and samples_per_subspace must be equal-length and nonempty")
         if any(d < 1 for d in dims):

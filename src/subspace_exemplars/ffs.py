@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import DataMatrix, _as_int, _as_ints
+from .dataset import DataMatrix, _as_int, _as_ints, _as_seed
 from .lasso import DEFAULT_TOL, _check_params
 from .selfrep import _CostEvaluator
 
@@ -73,9 +73,8 @@ class ExemplarSet:
         if idx and min(idx) < 0:
             raise ValueError(f"exemplar indices must be >= 0, got {min(idx)}")
         object.__setattr__(self, "indices", idx)
-        # kept as Python ints, since a seed may exceed int64
-        for name in ("k", "seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        object.__setattr__(self, "k", _as_int(self.k, "k"))
+        object.__setattr__(self, "seed", _as_seed(self.seed))
         if self.k != len(idx):
             raise ValueError(f"k must equal the number of indices, {len(idx)}, got {self.k}")
 
@@ -122,6 +121,7 @@ def _first_index(
     if not 1 <= k <= data.count:
         raise ValueError(f"k={k} must be in [1, N={data.count}]")
     _check_params(lam)
+    seed = _as_seed(seed)
     if first_index is None:
         return k, int(np.random.default_rng(seed).integers(data.count))
     first_index = int(_as_ints(first_index, "first_index"))
@@ -300,7 +300,7 @@ def select_random(data: DataMatrix, k: int, seed: int = 0) -> ExemplarSet:
     k = int(_as_ints(k, "k"))
     if not 0 <= k <= data.count:
         raise ValueError(f"k={k} must be in [0, N={data.count}]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_seed(seed))
     idx = rng.choice(data.count, size=k, replace=False)
     return ExemplarSet(tuple(int(i) for i in idx), k, seed, ())
 

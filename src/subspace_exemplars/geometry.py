@@ -4,11 +4,12 @@ These routines check, at desk scale, the identities tying the
 self-representation machinery to convex geometry:
 
 * exact equality-constrained L1 minimization (the lam -> infinity limit of
-  the lasso objective), solved as a linear program;
-* the Minkowski functional (gauge) of the symmetrized convex hull of an
-  exemplar set, min sum(u) subject to [X0, -X0] u = x, u >= 0.  That is the
-  same linear program as the L1 minimization, so the eq15 oracle, which
-  compares the two, checks that the two entry points agree;
+  the lasso objective), the module's one linear program;
+* the Minkowski functional (gauge) g of the symmetrized convex hull of an
+  exemplar set: min sum(u) subject to [X0, -X0] u = x, u >= 0, which is that
+  program over X0.  With nu the program's dual point, lasso duality gives
+  g - ||nu||^2 / (2 lam) <= f_lam(x) <= g, and the eq15 oracle checks the
+  lasso solver against that bracket;
 * the chain tying the worst-case cost over the sphere to 1/inradius of
   conv(+-X0) and to 1/cos of the covering radius of +-X0.  Each of its
   three quantities takes its own route: the worst-case cost is the exact L1
@@ -17,7 +18,7 @@ self-representation machinery to convex geometry:
   (Qhull, any D >= 2), and the covering radius is a grid search (D in
   {2, 3}).  Neither grid search solves a linear program.
 
-The LPs are infeasibility-aware: a target outside the span yields the +inf
+The LP is infeasibility-aware: a target outside the span yields the +inf
 sentinel rather than an error.
 scipy's LP solver loads on the first LP, which the chain never makes, and
 ``scipy.spatial`` on the first ``inradius`` call, not when the module is
@@ -89,68 +90,57 @@ class SymmetricHull:
         return self.generators.shape[1] // 2
 
 
-def _span_basis(a: np.ndarray) -> np.ndarray:
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        return u[:, :0]
-    return u[:, s > s[0] * 1e-12]
+def _l1_lp(a: np.ndarray, x: np.ndarray):
+    """min ||c||_1 subject to x = a @ c, by HiGHS: (value, coeffs, nu).
 
-
-def l1_min_exact(dictionary: np.ndarray, target: np.ndarray):
-    """min ||c||_1 subject to target = dictionary @ c, by linear programming.
-
-    Returns (value, coeffs); (inf, None) when the target is not in the span
-    of the dictionary within 1e-9.
+    nu in R^D is the dual point, max <nu, x> subject to |a^T nu| <= 1;
+    (inf, None, None) when x is not in the span of a within 1e-9.
     """
-    a = np.asarray(dictionary, dtype=float)
-    x = np.asarray(target, dtype=float).ravel()
-    if a.ndim != 2 or a.shape[0] != x.shape[0]:
-        raise ValueError("dictionary must be (D, M) matching the target length")
-    if a.shape[1] == 0:
-        return (math.inf, None) if np.linalg.norm(x) > _SPAN_TOL else (0.0, np.zeros(0))
-    q = _span_basis(a)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    q = u[:, s > 1e-12 * s.max(initial=0.0)]  # an orthonormal basis of the span
     if np.linalg.norm(x - q @ (q.T @ x)) > _SPAN_TOL:
-        return math.inf, None
+        return math.inf, None, None
+    if a.shape[1] == 0:
+        return 0.0, np.zeros(0), np.zeros_like(x)
     from scipy.optimize import linprog
     m = a.shape[1]
-    a_eq = q.T @ np.hstack([a, -a])
     res = linprog(
         c=np.ones(2 * m),
-        A_eq=a_eq,
+        A_eq=q.T @ np.hstack([a, -a]),
         b_eq=q.T @ x,
         bounds=(0, None),
         method="highs",
     )
     if not res.success:  # pragma: no cover - guarded by the span check
         raise RuntimeError(f"LP solver failed: {res.message}")
-    coeffs = res.x[:m] - res.x[m:]
-    return float(res.fun), coeffs
+    return float(res.fun), res.x[:m] - res.x[m:], q @ res.eqlin.marginals
+
+
+def l1_min_exact(dictionary: np.ndarray, target: np.ndarray):
+    """min ||c||_1 subject to target = dictionary @ c, by linear programming.
+
+    Returns (value, coeffs); (inf, None) when the target is not in the span
+    of the dictionary within 1e-9.  A non-finite dictionary or target raises
+    ValueError.
+    """
+    a = np.asarray(dictionary, dtype=float)
+    x = np.asarray(target, dtype=float).ravel()
+    if a.ndim != 2 or a.shape[0] != x.shape[0]:
+        raise ValueError("dictionary must be (D, M) matching the target length")
+    for what, v in (("dictionary", a), ("target", x)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{what} must be finite (no NaN or inf)")
+    return _l1_lp(a, x)[:2]
 
 
 def minkowski_functional(hull: SymmetricHull, x: np.ndarray) -> float:
     """Gauge of the hull: smallest t > 0 with x / t inside conv(+-X0).
 
-    Solved as min sum(u) with generators @ u = x, u >= 0 (u sums to the
-    scaling t).  Returns inf when x is outside the hull's span; 0 at x = 0.
+    min sum(u) with generators @ u = x, u >= 0 (u sums to t): the exact L1
+    minimization over X0, the hull's first m generators.  Returns inf when x
+    is outside the hull's span; 0 at x = 0.
     """
-    g = hull.generators
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != hull.dim:
-        raise ValueError("x has wrong dimension")
-    q = _span_basis(g)
-    if np.linalg.norm(x - q @ (q.T @ x)) > _SPAN_TOL:
-        return math.inf
-    from scipy.optimize import linprog
-    res = linprog(
-        c=np.ones(g.shape[1]),
-        A_eq=q.T @ g,
-        b_eq=q.T @ x,
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:  # pragma: no cover
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    return float(res.fun)
+    return l1_min_exact(hull.generators[:, :hull.m], x)[0]
 
 
 def _check_resolution(resolution: float) -> None:

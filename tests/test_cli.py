@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -369,6 +370,22 @@ def test_select_rejects_k_outside_1_to_n_for_every_method(tmp_path, capsys, meth
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k", 10**23, "k must fit in int64, got 100000000000000000000000"),
+    ("--seed", -1, "seed must be >= 0, got -1"),
+])
+@pytest.mark.parametrize("method", METHODS)
+def test_select_rejects_a_k_beyond_int64_or_a_negative_seed(dataset, tmp_path, capsys, method,
+                                                            flag, value, message):
+    out = tmp_path / "sel.json"
+    args = {"--k": 3, "--seed": 0, flag: value}
+    rc = _run("select", "--data", dataset, "--with-labels", "--method", method, "--out", out,
+              *[a for item in args.items() for a in item])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", ["--tol", "--first-index"])
 @pytest.mark.parametrize("command", ["select", "cluster", "classify"])
 def test_solver_settings_are_not_command_line_options(dataset, tmp_path, capsys, command, option):
@@ -426,6 +443,26 @@ def test_oracle_eq15(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["pass"] is True
     assert doc["max_deviation"] <= 1e-8
+
+
+def test_oracle_eq15_fails_on_costs_below_the_bracket(tmp_path, monkeypatch):
+    # the check reads the solver's certified costs, so costs 1e-6 too low fail
+    # it: at large lam the lower side g - |nu|^2 / (2 lam) holds with equality
+    from subspace_exemplars import cli
+
+    solve = cli.solve_lasso_batch
+
+    def too_low(*args):
+        codes = solve(*args)
+        return dataclasses.replace(codes, objectives=codes.objectives - 1e-6)
+
+    monkeypatch.setattr(cli, "solve_lasso_batch", too_low)
+    out = tmp_path / "audit.json"
+    rc = _run("oracle", "--check", "eq15", "--trials", 5, "--out", out)
+    assert rc == 1
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False
+    assert abs(doc["max_deviation"] - 1e-6) <= 1e-12
 
 
 def test_oracle_chain(tmp_path):

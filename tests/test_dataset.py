@@ -353,11 +353,30 @@ def test_integral_float_counts_pass_and_seeds_stay_exact():
         (lambda: ExemplarSet.from_json('{"indices": [1, 2], "k": 5, "seed": 0}'),
          "k must equal the number of indices, 2, got 5"),
         (lambda: ExemplarSet((), 1, 0), "k must equal the number of indices, 0, got 1"),
+        (lambda: ffs_lazy(_DATA, 10.0, 2**70), f"k must fit in int64, got {2**70}"),
+        (lambda: pca_project(_DATA, 2**70), f"target_dim must fit in int64, got {2**70}"),
+        (lambda: ffs_lazy(_DATA, 10.0, np.uint64(2**64 - 1)),
+         f"k must fit in int64, got {2**64 - 1}"),
+        (lambda: esc_pipeline(_DATA, 10.0, 4, 1e30, 2), r"t must fit in int64, got 1e\+30"),
+        (lambda: ExemplarSet((1, 2), 2, -1), "seed must be >= 0, got -1"),
+        (lambda: ExemplarSet.from_json('{"indices": [1, 2], "k": 2, "seed": -3}'),
+         "seed must be >= 0, got -3"),
+        (lambda: ffs_lazy(_DATA, 10.0, 2, seed=-1), "seed must be >= 0, got -1"),
+        (lambda: ffs_naive(_DATA, 10.0, 2, seed=-1), "seed must be >= 0, got -1"),
+        (lambda: ffs_naive(_DATA, 10.0, 2, seed=-1, first_index=0), "seed must be >= 0, got -1"),
+        (lambda: select(_DATA, "ffs", 10.0, 2, seed=-1), "seed must be >= 0, got -1"),
+        (lambda: select_random(_DATA, 2, seed=-1), "seed must be >= 0, got -1"),
+        (lambda: esc_pipeline(_DATA, 10.0, 4, 3, 2, seed=-1), "seed must be >= 0, got -1"),
     ],
     ids=["SubspaceSpec.ambient_dim.zero", "SubspaceSpec.ambient_dim.negative",
          "SubspaceSpec.seed.negative", "ExemplarSet.negative_index",
          "ExemplarSet.from_json.negative_index", "ExemplarSet.k", "ExemplarSet.from_json.k",
-         "ExemplarSet.empty"],
+         "ExemplarSet.empty", "ffs_lazy.k.beyond_int64", "pca_project.beyond_int64",
+         "ffs_lazy.k.uint64_beyond_int64", "esc_pipeline.t.float_beyond_int64",
+         "ExemplarSet.seed.negative", "ExemplarSet.from_json.seed.negative",
+         "ffs_lazy.seed.negative", "ffs_naive.seed.negative",
+         "ffs_naive.first_index.seed.negative", "select.seed.negative",
+         "select_random.seed.negative", "esc_pipeline.seed.negative"],
 )
 def test_an_out_of_range_count_seed_or_index_is_rejected_at_the_boundary(build, message):
     # an index of -1 would alias point N-1 under points[:, indices]

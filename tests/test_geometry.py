@@ -1,4 +1,6 @@
+import collections
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from subspace_exemplars import (
     DegenerateHull,
+    NoConvergence,
     SymmetricHull,
     UnsupportedDim,
     covering_radius,
@@ -16,7 +19,7 @@ from subspace_exemplars import (
     solve_lasso_batch,
     sup_l1_cost_on_sphere,
 )
-from subspace_exemplars.geometry import _sphere_grid
+from subspace_exemplars.geometry import _l1_lp, _sphere_grid
 
 
 def _unit(rng, d, m):
@@ -76,6 +79,81 @@ def test_gauge_equals_l1_min_on_random_feasible_instances():
         hull = SymmetricHull.from_points(pts)
         lp, _ = l1_min_exact(pts, x)
         assert abs(minkowski_functional(hull, x) - lp) <= 1e-8
+
+
+_NAN_AT_0 = np.array([math.nan, 0.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve, what", [
+    (lambda: l1_min_exact(np.eye(3), _NAN_AT_0), "target"),
+    (lambda: l1_min_exact(np.eye(3), [0.0, math.inf, 0.0]), "target"),
+    (lambda: l1_min_exact(np.hstack([np.eye(3), _NAN_AT_0[:, None]]), [1.0, 0.0, 0.0]),
+     "dictionary"),
+    (lambda: l1_min_exact([[1.0, -math.inf], [0.0, 0.0]], [1.0, 0.0]), "dictionary"),
+    (lambda: minkowski_functional(SymmetricHull.from_points(np.eye(3)), _NAN_AT_0), "target"),
+], ids=["nan_target", "inf_target", "nan_dictionary", "inf_dictionary", "gauge_nan_target"])
+def test_a_non_finite_dictionary_or_target_is_rejected_before_the_lp(monkeypatch, solve, what):
+    # a NaN target would pass the span check (NaN > tol is False) and fail
+    # inside the LP, a NaN dictionary inside the SVD: neither may run
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the SVD ran on non-finite input")
+
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # importing it now fails
+    with pytest.raises(ValueError, match=f"^{what} must be finite"):
+        solve()
+
+
+def test_lasso_costs_lie_in_the_gauge_bracket():
+    # by lasso duality g - |nu|^2 / (2 lam) <= f_lam(x) <= g, for the gauge g
+    # of x (the LP value) and the LP's dual point nu; on near-coplanar,
+    # duplicated and antipodal columns, with targets drawn in their span or
+    # anywhere in R^3. A NoConvergence is its own outcome, counted
+    outcomes = collections.Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 6),
+        flat=st.sampled_from([1.0, 1e-3, 1e-6]),
+        dup=st.integers(0, 2),
+        anti=st.integers(0, 2),
+        anywhere=st.booleans(),
+    )
+    def case(seed, m, flat, dup, anti, anywhere):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((3, m))
+        a[2] *= flat
+        a /= np.linalg.norm(a, axis=0)
+        a = np.hstack([a, a[:, :dup], -a[:, m - anti:]])
+        x = rng.standard_normal(3) if anywhere else a @ rng.standard_normal(a.shape[1])
+        if np.linalg.norm(x) < 1e-9:
+            outcomes["zero target"] += 1
+            return
+        x /= np.linalg.norm(x)
+        g, _, nu = _l1_lp(a, x)
+        if nu is None:
+            outcomes["off the span"] += 1
+            return
+        # nu is dual feasible and attains the LP value
+        assert np.abs(a.T @ nu).max() <= 1.0 + 1e-12
+        assert abs(nu @ x - g) <= 1e-12 * g
+        tol = 1e-12 * (1.0 + g)
+        for lam in (10.0, 100.0, 1000.0):
+            try:
+                f = solve_lasso_batch(a, x, lam).objectives[0]
+            except NoConvergence:
+                outcomes["NoConvergence"] += 1
+                continue
+            low = g - nu @ nu / (2.0 * lam)
+            assert low - tol <= f <= g + tol
+            outcomes["tight" if f - low <= tol else "inside"] += 1
+
+    case()
+    # every solve certifies, and the lower side is attained as well as strict
+    assert outcomes["NoConvergence"] == 0, outcomes
+    assert outcomes["tight"] > 0 and outcomes["inside"] > 0, outcomes
 
 
 def test_covering_radius_cross_and_antipodal():
