@@ -5,8 +5,9 @@ currently worst-represented point (largest self-representation cost).
 ``ffs_naive`` reevaluates every point at every iteration; ``ffs_lazy``
 exploits the monotonicity of the cost in the exemplar set (lazy greedy,
 Minoux 1978).  Every point carries an upper bound on its cost, the cost of a
-known code, which one exact coordinate step on each new exemplar lowers, and
-a lower bound from feasible points of the lasso dual (gap-safe screening,
+known code, which one exact coordinate step on each new exemplar lowers, or
+the cost of its least-squares code over the selection where that is lower,
+and a lower bound from feasible points of the lasso dual (gap-safe screening,
 Fercoq, Gramfort & Salmon 2015); a step solves, in at most one solver call,
 only the points whose upper bound reaches the best lower bound, and a step
 whose bounds leave one point picks it without a call.  The two select
@@ -158,22 +159,30 @@ def ffs_naive(
 class _Carried:
     """Bounds on every point's cost that ``ffs_lazy`` carries across steps.
 
-    They hold for the selection ``sel``, which :meth:`add` grows.
-    ``upper`` is the cost of a known code c of each point over the selection,
-    and ``e = x - A c`` its residual; both restart at a point's solve.  After
-    each pick a, new to every code, one exact coordinate step on it lowers
-    the bound: with g = a^T e the step b = sign(g) (|g| - 1/lam)_+ / ||a||^2
-    grows ||c||_1 by |b| and takes lam (|g| - 1/lam)_+^2 / (2 ||a||^2) off
-    the cost, and e becomes e - b a.  A point equal up to sign to a selected
-    one (``at_floor``) stays at the floor exactly.  :meth:`lower` reads one
-    dual point nu per point, the zero code's lam x until the point's first
-    solve and lam e of its last solve after, through p = nu^T x,
+    They hold for the selection ``sel`` of at most k points, which
+    :meth:`add` grows.  ``upper`` is the cost of a known code c of each point
+    over the selection, and ``e = x - A c`` its residual; both restart at a
+    point's solve.  After each pick a, new to every code, one exact
+    coordinate step on it lowers the bound: with g = a^T e the step
+    b = sign(g) (|g| - 1/lam)_+ / ||a||^2 grows ||c||_1 by |b| and takes
+    lam (|g| - 1/lam)_+^2 / (2 ||a||^2) off the cost, and e becomes e - b a.
+    Then, where the point's least-squares code b over the selection costs
+    less, ||b||_1 + lam ||x - A b||^2 / 2 with the residual formed from the
+    data, b becomes c.  A point equal up to sign to a selected one
+    (``at_floor``) stays at the floor exactly.  :meth:`lower` reads one dual
+    point nu per point, the zero code's lam x until the point's first solve
+    and lam e of its last solve after, through p = nu^T x,
     q = ||nu||^2 / (2 lam) and m, the running maximum of |a^T nu| over the
     picks.  ``off`` is each point's part off the selection's span, kept by
-    one Gram-Schmidt direction per pick, and ``r2`` its squared norm.
+    one Gram-Schmidt direction per pick, ``r2`` its squared norm, and ``B``
+    (k x N) the coefficients of its projection on the span, in the
+    selection's column order.  A pick a with w = off[:, a] and
+    ||w|| > ``_SPAN_TOL`` adds the row beta / ||w||, beta = w^T off / ||w||,
+    to B and takes B[:, a] beta^T / ||w|| off the rows before it; a pick
+    with a shorter w leaves off and B as they are.
     """
 
-    def __init__(self, ev: _CostEvaluator):
+    def __init__(self, ev: _CostEvaluator, k: int):
         X, lam, N = ev.points, ev.lam, ev.N
         self.ev, self.sel = ev, []
         self.upper = 0.5 * lam * ev.xnorm2  # what lasso._cd_core charges for c = 0
@@ -181,6 +190,7 @@ class _Carried:
         self.vecs = np.stack([lam * X, X])  # nu, then e: one product with a pick reads both
         self.p, self.q, self.m = lam * ev.xnorm2, 0.5 * lam * ev.xnorm2, np.zeros(N)
         self.off, self.r2 = X.copy(), ev.xnorm2.copy()
+        self.B = np.zeros((k, N))
 
     def lower(self, targets: np.ndarray) -> np.ndarray:
         """Lower bounds on the target costs from their carried dual points.
@@ -238,9 +248,20 @@ class _Carried:
         # it is at rounding level
         norm = math.sqrt(self.off[:, pick] @ self.off[:, pick])
         if norm > _SPAN_TOL:
+            i = len(self.sel) - 1
             v = self.off[:, pick] / norm
-            self.off -= v[:, None] * (v @ self.off)
+            beta = v @ self.off
+            self.off -= v[:, None] * beta
             self.r2 = np.einsum("ij,ij->j", self.off, self.off)
+            # the new direction is (a - A B[:, pick]) / norm over the old A
+            self.B[:i] -= np.outer(self.B[:i, pick] / norm, beta)
+            self.B[i] = beta / norm
+            B = self.B[:i + 1]
+            e = ev.points - ev.points[:, self.sel] @ B  # from the data, not the recurrence
+            cost = np.abs(B).sum(axis=0) + 0.5 * lam * np.einsum("ij,ij->j", e, e)
+            better = (cost < self.upper) & ~self.at_floor
+            self.upper[better] = cost[better]
+            self.vecs[1][:, better] = e[:, better]
 
 
 def ffs_lazy(data: DataMatrix, lam: float, k: int, seed: int = 0) -> ExemplarSet:
@@ -250,22 +271,26 @@ def ffs_lazy(data: DataMatrix, lam: float, k: int, seed: int = 0) -> ExemplarSet
     The first upper bounds are the zero code's costs, bit for bit as the
     solver prices them, so k = 1 makes no solver call.  After a solve a
     point's upper bound is its cost, and each later pick, the first draw
-    included, lowers it by one exact coordinate step on the new exemplar.
-    Its lower bound comes from one dual-feasible point, built from the dual
-    point of its last solve (the zero code's before that) and its part off
-    the selection's span, which Gram-Schmidt keeps, so no step factors the
+    included, lowers it by one exact coordinate step on the new exemplar.  A
+    pick that grows the selection's span also prices every point's
+    least-squares code over the selection, whose coefficients the same
+    Gram-Schmidt step keeps; where that code costs less, it becomes the
+    upper bound and the code that later coordinate steps lower.  The lower
+    bound comes from one dual-feasible point, built from the dual point of
+    the point's last solve (the zero code's before that) and its part off the
+    selection's span, which Gram-Schmidt keeps, so no step factors the
     selection.  The winner costs at least the largest lower bound, so each
     step solves, in at most one call, only the candidates whose upper bound
     reaches it less twice ``DEFAULT_TOL`` (the certified gap plus rounding);
     every other point costs less than the winner.  It picks the largest
-    solved cost, lowest index on ties.  A lone candidate off the floor is
-    the pick without a solve: its cost, which only the trace reads, is priced
+    solved cost, lowest index on ties.  A lone candidate off the floor is the
+    pick without a solve: its cost, which only the trace reads, is priced
     over the selection it had in the next solver call, or in one call after
     the last step.  The candidates kept are counted in ``evals``.
     """
     k, j0 = _first_index(data, lam, k, seed, None)
     ev = _CostEvaluator(data, lam)
-    carried = _Carried(ev)
+    carried = _Carried(ev, k)
     carried.add(j0)
     in_set = np.zeros(ev.N, dtype=bool)
     in_set[j0] = True

@@ -84,16 +84,26 @@ def test_lazy_equals_naive_on_noisy_data_and_prunes_once_the_selection_spans(see
 def test_lazy_descent_bounds_cut_the_later_solves_on_the_classify_workload():
     # the src-classify benchmark's data (seeds 0-2): at lam = 1e4 the lower
     # bounds are already close to the winner, so the solves after step 1
-    # come from stale upper bounds; carried with one coordinate step per
-    # pick they number 81 + 89 + 71, against 169 + 182 + 158 = 509 for costs
-    # kept from the last solve alone
-    later = 0
+    # come from loose upper bounds.  Costs kept from the last solve alone
+    # priced 509 targets after step 1; one coordinate step per pick priced
+    # 82 + 90 + 73 = 245 in all; the least-squares code over the selection
+    # as a second upper bound prices 11 + 31 + 11 = 53
+    total = 0
     for seed in range(3):
         data = synth_union_of_subspaces(SubspaceSpec(12, (4, 4, 4), (20, 20, 20), 0.0, seed))
-        lazy = ffs_lazy(data, 1e4, 12, seed=seed)
-        assert lazy.indices == ffs_naive(data, 1e4, 12, first_index=lazy.indices[0]).indices
-        later += sum(step.evals for step in lazy.trace[2:])
-    assert later < 0.75 * 509
+        total += ffs_lazy(data, 1e4, 12, seed=seed).total_evals
+    assert total < 0.5 * 245
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lazy_equals_naive_on_the_classify_workload(seed):
+    # all thirty src-classify datasets; the benchmark checks lazy == naive
+    # on esc-imbalanced only
+    data = synth_union_of_subspaces(SubspaceSpec(12, (4, 4, 4), (20, 20, 20), 0.0, seed))
+    lazy, naive = ffs_lazy(data, 1e4, 12, seed=seed), ffs_naive(data, 1e4, 12, seed=seed)
+    assert lazy.indices == naive.indices
+    for a, b in zip(lazy.trace, naive.trace):
+        assert abs(a.f_value - b.f_value) <= 1e-12 * b.f_value
 
 
 def test_lazy_step_1_prunes_by_the_carried_lower_bound():

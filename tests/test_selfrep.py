@@ -250,7 +250,8 @@ def test_dual_lower_bound_never_exceeds_the_cost():
     # with more points than its dimension or a point and its negation, so
     # their columns are linearly dependent; each step re-solves a random
     # part of the classes, so the others carry dual points and codes of
-    # older steps, lowered by one coordinate step per pick.
+    # older steps, lowered by one coordinate step per pick or replaced by
+    # their least-squares code over the selection where that costs less.
     # A sequence stops where the solver cannot certify a cost to compare
     # with: at lam = 1e4 seed 41 meets the large-l1 gap defect of
     # test_coherent_dictionaries_at_a_large_lambda_return_exact_codes
@@ -267,7 +268,7 @@ def test_dual_lower_bound_never_exceeds_the_cost():
         everyone = np.arange(data.count)
         for lam in (1.5, 2.0, 10.0, 100.0, 1e4):
             ev = _CostEvaluator(data, lam)
-            carried = _Carried(ev)
+            carried = _Carried(ev, len(order))
             carried.add(order[0])
             try:
                 for size in range(1, len(order)):
@@ -285,6 +286,64 @@ def test_dual_lower_bound_never_exceeds_the_cost():
             except NoConvergence:
                 uncertified.append((seed, lam))
     assert set(uncertified) <= {(41, 1e4)}
+
+
+def test_least_squares_upper_bound_is_the_cost_of_its_code():
+    # selections longer than D from a lower-dimensional subspace, with a
+    # point and its negation and one pick whose part off the span is between
+    # 1e-12 and 1e-8 long, so B carries coefficients up to about 1e11; each
+    # step re-solves a random part of the classes.  After every pick each
+    # upper bound that the least-squares code set must be that code's cost
+    # recomputed from the data, and no upper bound may fall below the solved
+    # cost.  As in test_dual_lower_bound_never_exceeds_the_cost, a sequence
+    # stops where the solver cannot certify a cost: at lam = 1e4 the nearly
+    # dependent pick meets the large-l1 gap defect in four sequences
+    set_by_code, near, uncertified = 0, [], []
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 7))
+        r = int(rng.integers(1, d))
+        basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        low = basis[:, :r] @ rng.standard_normal((r, r + 1))
+        inside = basis[:, :r] @ rng.standard_normal(r)
+        tilt = basis[:, r] * 10.0 ** rng.uniform(-11.5, -8.5) * np.linalg.norm(inside)
+        pts = np.column_stack([low, inside + tilt, -low[:, 0],
+                               rng.standard_normal((d, int(rng.integers(d, 2 * d))))])
+        data = normalize_columns(DataMatrix(pts))
+        # the subspace's points first, so that the tilted one is nearly in their span
+        order = ([int(i) for i in rng.permutation(r + 1)]
+                 + [r + 1] + [int(i) for i in r + 2 + rng.permutation(data.count - r - 2)])
+        X, everyone = data.points, np.arange(data.count)
+        for lam in (1.5, 30.0, 1e4):
+            ev = _CostEvaluator(data, lam)
+            carried = _Carried(ev, len(order))
+            try:
+                for size, pick in enumerate(order, start=1):
+                    if pick == r + 1:
+                        near.append(math.sqrt(carried.off[:, pick] @ carried.off[:, pick]))
+                    e, upper = carried.vecs[1].copy(), carried.upper.copy()
+                    carried.add(pick)
+                    sel = order[:size]
+                    floor = ev.taken(sel)[ev.twin]
+                    # the bound the coordinate step alone leaves
+                    over = np.maximum(np.abs(X[:, pick] @ e) - 1.0 / lam, 0.0)
+                    stepped = upper - 0.5 * lam * over**2 / ev.xnorm2[pick]
+                    B = carried.B[:size]
+                    code = (np.abs(B).sum(axis=0)
+                            + 0.5 * lam * np.linalg.norm(X - X[:, sel] @ B, axis=0) ** 2)
+                    by_code = ~floor & (carried.upper < stepped - 1e-12 * stepped)
+                    set_by_code += int(by_code.sum())
+                    np.testing.assert_allclose(carried.upper[by_code], code[by_code],
+                                               rtol=1e-12, err_msg=f"{seed} {lam} {size}")
+                    cost = ev.costs(sel, everyone)
+                    assert np.all(carried.upper >= cost - 1e-13 * lam), (seed, lam, size)
+                    free = np.flatnonzero(~floor & (ev.twin == everyone))
+                    carried.solve(free[rng.random(free.size) < 0.5])
+            except NoConvergence:
+                uncertified.append((seed, lam))
+    assert set_by_code > 100, set_by_code
+    assert 1e-12 < min(near) and max(near) < 1e-8, (min(near), max(near))
+    assert set(uncertified) <= {(10, 1e4), (16, 1e4), (25, 1e4), (29, 1e4)}
 
 
 def test_zero_code_dual_bound_is_the_qr_bound():
@@ -306,7 +365,7 @@ def test_zero_code_dual_bound_is_the_qr_bound():
                 t = np.minimum(lam, 1.0 / np.abs(A.T @ X).max(axis=0))
             old = t * x2 - 0.5 * t * t * x2 / lam + 0.5 * r2 * (lam - t) ** 2 / lam
             old[sel] = cost_floor(lam)
-            carried = _Carried(ev)
+            carried = _Carried(ev, len(sel))
             for j in sel:
                 carried.add(j)
             new = carried.lower(everyone)
